@@ -305,12 +305,24 @@ impl Directory {
     /// the single probe a cache-hit validation needs. `None` when the
     /// label is unknown or dissolved.
     pub fn live_epoch(&self, label: &Key) -> Option<u64> {
-        let &id = self.ids.get(label)?;
-        if self.hosts[id as usize] == NONE {
-            None
-        } else {
-            Some(self.epochs[id as usize])
+        self.live_epoch_id(*self.ids.get(label)?)
+    }
+
+    /// Id-level twin of [`Directory::live_epoch`] (no hash): the epoch
+    /// of label id `lid` iff it is live.
+    #[inline]
+    pub fn live_epoch_id(&self, lid: u32) -> Option<u64> {
+        match self.hosts[lid as usize] {
+            NONE => None,
+            _ => Some(self.epochs[lid as usize]),
         }
+    }
+
+    /// The current epoch of label id `lid`, live or not — the id-level
+    /// twin of [`Directory::epoch_of`].
+    #[inline]
+    pub fn epoch_id(&self, lid: u32) -> u64 {
+        self.epochs[lid as usize]
     }
 
     /// The current epoch of `label` (0 if never seen). Liveness is the

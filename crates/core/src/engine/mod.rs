@@ -36,7 +36,7 @@ pub mod parallel;
 #[cfg(test)]
 mod slab_props;
 
-use crate::cache::{self, CacheStats, RouteCache, Shortcut};
+use crate::cache::{self, CacheStats, RouteCache, Shortcut, Subscriptions};
 use crate::directory::{Directory, FxHashMap, FxHashSet};
 use crate::error::{DlptError, Result};
 use crate::key::Key;
@@ -72,7 +72,7 @@ pub trait Transport {
     fn deliver(&mut self, env: Envelope);
 
     /// Queues an envelope for every element of `envs` — fan-out events
-    /// (cache invalidation, anti-entropy kicks). The default delivers
+    /// such as anti-entropy kicks. The default delivers
     /// in iteration order; transports with a cheaper broadcast path
     /// may override.
     fn broadcast<I>(&mut self, envs: I)
@@ -537,6 +537,10 @@ pub struct Engine {
     /// Request id → `(target, entry host id)` to teach after a
     /// satisfied exact query.
     learn: FxHashMap<u64, (Key, u32)>,
+    /// Label id → peers whose route cache may hold a shortcut through
+    /// it: the recipients of targeted eager invalidation (a superset
+    /// of the real holders; see `dlpt_core::cache`).
+    subscriptions: Subscriptions,
     next_request: u64,
     pub(crate) root: Option<Key>,
     /// Reused effect buffers: one dispatch allocates nothing once the
@@ -579,7 +583,7 @@ pub struct Engine {
     /// out of [`SystemStats`] for the same golden-fingerprint reason.
     pub metrics: MetricsRegistry,
     /// Post-batch observability record from the parallel pump: slice
-    /// ownership and ring depth of the most recent batch, read by
+    /// ownership and largest lane batch of the most recent batch, read by
     /// [`Engine::collect_health`]. Empty (and cost-free) on engines
     /// that never ran a parallel batch.
     pub(crate) pump_health: PumpHealth,
@@ -587,7 +591,7 @@ pub struct Engine {
 
 /// What the parallel pump ([`parallel::ParallelPump`]) left behind
 /// after its most recent batch: which worker slice owned each peer and
-/// the deepest inter-worker SPSC ring occupancy observed. Kept on the
+/// the largest per-epoch batch one worker sent another. Kept on the
 /// engine (not the pump, which is stateless) so health snapshots can
 /// report slice balance; overwritten per batch, never consulted on the
 /// routing hot path.
@@ -598,10 +602,12 @@ pub struct PumpHealth {
     pub(crate) slice_of: Vec<u16>,
     /// Worker-slice count of the last parallel batch (0 = none ran).
     pub(crate) slices: u16,
-    /// Peak occupancy over every inter-worker SPSC ring of the last
-    /// parallel batch — how close the bounded mesh came to exerting
-    /// backpressure.
-    pub(crate) ring_peak: u32,
+    /// Largest `sent` count over every credit of the last parallel
+    /// batch: the most envelopes one worker handed another within one
+    /// credit epoch. The credit protocol fixes which envelopes belong
+    /// to each epoch, so unlike a ring-occupancy reading this does not
+    /// depend on thread interleaving.
+    pub(crate) lane_batch_peak: u32,
 }
 
 impl Engine {
@@ -615,6 +621,7 @@ impl Engine {
             gathers: GatherPool::default(),
             finished: FxHashMap::default(),
             learn: FxHashMap::default(),
+            subscriptions: Subscriptions::default(),
             next_request: 1,
             root: None,
             scratch: Effects::default(),
@@ -730,6 +737,12 @@ impl Engine {
     pub(crate) fn shard_mut(&mut self, id: &Key) -> Option<&mut PeerShard> {
         let pid = self.directory.id_of(id)?;
         self.peers.get_mut(pid)?.shard.as_mut()
+    }
+
+    /// Borrow a live peer's entry-point route cache.
+    pub fn route_cache(&self, id: &Key) -> Option<&RouteCache> {
+        let pid = self.directory.id_of(id)?;
+        Some(&self.peers.get(pid)?.cache)
     }
 
     /// Mutably borrow a peer's entry-point route cache.
@@ -1041,7 +1054,9 @@ impl Engine {
             }
         }
         let env = match shortcut {
-            Some(sc) => cache::shortcut_envelope(id, query, sc),
+            Some(sc) => {
+                cache::shortcut_envelope(id, query, self.directory.key_of(sc.label).clone())
+            }
             None => discovery::entry_envelope(entry.clone(), id, query),
         };
         if self.fault_recovery {
@@ -1250,10 +1265,14 @@ impl Engine {
         }
     }
 
+    /// Teaches entry peer `host` the shortcut for `target` and
+    /// subscribes it to the shortcut's label, so every later eager
+    /// invalidation of that label reaches it.
     fn learn_shortcut(&mut self, target: Key, host: u32) {
         if let Some(sc) = cache::learned_shortcut(&self.directory, &target) {
             if let Some(slot) = self.peers.get_mut(host) {
                 slot.cache.insert(target, sc);
+                self.subscriptions.subscribe(sc.label, host);
                 self.cache_stats.learned += 1;
             }
         }
@@ -1366,16 +1385,10 @@ impl Engine {
                 if is_replication_msg(&msg) {
                     self.repl_stats.replication_messages += 1;
                 } else if let Message::Peer(PeerMsg::InvalidateCached { label, epoch }) = msg {
-                    // The engine owns the route caches, so the eager
-                    // invalidation broadcast terminates here — the one
-                    // epoch-guarded handler all runtimes share
-                    // (`RouteCache::invalidate_label` spares entries
-                    // re-learned at a fresher epoch, so reordered
-                    // deliveries are harmless).
-                    self.cache_stats.invalidations_delivered += 1;
-                    if let Some(slot) = self.peers.get_mut(pid) {
-                        slot.cache.invalidate_label(&label, epoch);
-                    }
+                    // The engine owns the route caches, so eager
+                    // invalidation terminates here — the one
+                    // epoch-guarded handler all runtimes share.
+                    self.invalidate_at(pid, &label, epoch);
                     return Ok(ChainStep::Step(Step::Done));
                 } else {
                     count_message(&mut self.stats, &msg);
@@ -1567,16 +1580,28 @@ impl Engine {
         }
     }
 
-    /// Delivers one eager-invalidation message to peer `id`'s cache —
-    /// the epoch guard (`shortcut.epoch <= epoch` evicts, fresher
-    /// re-learned entries survive) lives in
-    /// [`RouteCache::invalidate_label`] and nowhere else. Runtimes that
-    /// resolve peer frames outside [`Engine::deliver`] (the framed
-    /// router) terminate their invalidation frames here.
+    /// Delivers one eager-invalidation message to peer `id`'s cache.
+    /// Runtimes that resolve peer frames outside [`Engine::deliver`]
+    /// (the framed router) terminate their invalidation frames here.
     pub fn deliver_invalidation(&mut self, id: &Key, label: &Key, epoch: u64) {
+        if let Some(pid) = self.directory.id_of(id) {
+            self.invalidate_at(pid, label, epoch);
+        }
+    }
+
+    /// The single invalidation handler. The epoch guard
+    /// (`shortcut.epoch <= epoch` evicts, fresher re-learned entries
+    /// survive) lives in [`RouteCache::invalidate_label`] and nowhere
+    /// else, so reordered and duplicated deliveries are harmless. The
+    /// peer stays subscribed to `label` exactly while a shortcut
+    /// through it survives.
+    fn invalidate_at(&mut self, pid: u32, label: &Key, epoch: u64) {
         self.cache_stats.invalidations_delivered += 1;
-        if let Some(slot) = self.directory.id_of(id).and_then(|p| self.peers.get_mut(p)) {
-            slot.cache.invalidate_label(label, epoch);
+        let (Some(slot), Some(lid)) = (self.peers.get_mut(pid), self.directory.id_of(label)) else {
+            return;
+        };
+        if !slot.cache.invalidate_label(lid, epoch) {
+            self.subscriptions.unsubscribe(lid, pid);
         }
     }
 
@@ -1606,7 +1631,8 @@ impl Engine {
             self.directory.remove(&label);
             // Dissolution is the cheap eager-invalidation case: every
             // shortcut through the dead label is now a guaranteed
-            // stale hit, so broadcasting beats paying the fallback.
+            // stale hit, so telling its holders beats paying the
+            // fallback.
             self.queue_invalidations(&label, t);
             if self.root.as_ref() == Some(&label) {
                 self.root = None; // recomputed by the runtime
@@ -1626,26 +1652,36 @@ impl Engine {
         }
     }
 
-    /// Broadcasts [`PeerMsg::InvalidateCached`] for `label` to every
-    /// live peer (no-op with caching off). Called where eager
-    /// invalidation is cheap — dissolutions and migrations — while the
-    /// per-hit epoch check covers everything else lazily.
+    /// Sends [`PeerMsg::InvalidateCached`] for `label` at its current
+    /// epoch to every live peer subscribed to it — the peers whose
+    /// cache may hold a shortcut through `label` — in subscription-list
+    /// order, dropping subscribers that are no longer members. No-op
+    /// with caching off. Called where eager invalidation is cheap —
+    /// dissolutions and migrations — while the per-hit epoch check
+    /// covers everything else lazily.
     pub fn queue_invalidations<T: Transport>(&mut self, label: &Key, t: &mut T) {
         if self.config.cache_capacity == 0 {
             return;
         }
-        let epoch = self.directory.epoch_of(label);
-        self.cache_stats.invalidations_sent += self.members.len() as u64;
-        let members = &self.members;
-        t.broadcast(members.iter().map(|p| {
-            Envelope::to_peer(
-                p.clone(),
+        let Some(lid) = self.directory.id_of(label) else {
+            return;
+        };
+        let epoch = self.directory.epoch_id(lid);
+        let (peers, stats) = (&self.peers, &mut self.cache_stats);
+        self.subscriptions.retain(lid, |pid| {
+            let Some(slot) = peers.get(pid) else {
+                return false;
+            };
+            stats.invalidations_sent += 1;
+            t.deliver(Envelope::to_peer(
+                slot.key.clone(),
                 PeerMsg::InvalidateCached {
                     label: label.clone(),
                     epoch,
                 },
-            )
-        }));
+            ));
+            true
+        });
     }
 
     // ------------------------------------------------------------------
@@ -2050,6 +2086,12 @@ impl Engine {
         // survives the rename: only the id binding moves, so learned
         // shortcuts and slab integrity carry over.
         self.peers.rebind(old_pid, new_pid);
+        // Its cached shortcuts keep their subscriptions under the new
+        // id; the old id's links are pruned at the next send.
+        let slot = self.peers.get(new_pid).expect("just re-bound");
+        for (_, sc) in slot.cache.iter_shortcuts() {
+            self.subscriptions.subscribe(sc.label, new_pid);
+        }
         self.members.remove(old);
         let eager = self.config.eager_replication && self.config.replication > 1;
         let slot = self.peers.get_mut(new_pid).expect("just re-bound");
@@ -2560,20 +2602,31 @@ impl Engine {
         }
 
         // Cache shortcuts must reference epochs the directory has
-        // actually issued (stale is legal; from-the-future is not).
+        // actually issued (stale is legal; from-the-future is not), and
+        // their holder must be subscribed to the label, or targeted
+        // invalidation would miss it.
         for m in &self.members {
             let Some(pid) = self.directory.id_of(m) else {
                 continue;
             };
             let Some(slot) = slab.get(pid) else { continue };
             for (target, sc) in slot.cache.iter_shortcuts() {
-                if sc.epoch > self.directory.epoch_of(&sc.label) {
+                let issued = self.directory.epoch_id(sc.label);
+                if sc.epoch > issued {
                     push(
                         AuditCheck::Cache,
                         format!(
-                            "{m}: shortcut for {target} carries epoch {} > directory epoch {}",
-                            sc.epoch,
-                            self.directory.epoch_of(&sc.label)
+                            "{m}: shortcut for {target} carries epoch {} > directory epoch {issued}",
+                            sc.epoch
+                        ),
+                    );
+                }
+                if !self.subscriptions.contains(sc.label, pid) {
+                    push(
+                        AuditCheck::Cache,
+                        format!(
+                            "{m}: holds a shortcut for {target} through {} but is not subscribed",
+                            self.directory.key_of(sc.label)
                         ),
                     );
                 }
@@ -2597,7 +2650,7 @@ impl Engine {
             // Ring membership: BTreeSet entry ≈ key + tree overhead.
             + self.members.len() * (size_of::<Key>() + 16);
         let mut shard_bytes = 0usize;
-        let mut cache_bytes = 0usize;
+        let mut cache_bytes = self.subscriptions.bytes_estimate();
         for slot in slab.slots.iter().flatten() {
             cache_bytes += slot.cache.bytes_estimate();
             if let Some(shard) = &slot.shard {
@@ -2635,7 +2688,7 @@ impl Engine {
         snap.nodes = self.directory.len() as u64;
         snap.audit_violations = 0;
         snap.slices = self.pump_health.slices as u64;
-        snap.ring_peak = self.pump_health.ring_peak as u64;
+        snap.lane_batch_peak = self.pump_health.lane_batch_peak as u64;
 
         // Per-peer rows in ring order; `scratch_rows` maps interned
         // peer id → row index so the directory pass below can attribute
@@ -2977,9 +3030,7 @@ mod tests {
         // The label mutates (epoch advances) and P1 re-learns it fresh.
         e.directory.bump_epoch(&k("DGEMM"));
         let fresh = cache::learned_shortcut(&e.directory, &k("DGEMM")).expect("live");
-        e.cache_mut(&k("P1"))
-            .unwrap()
-            .insert(k("DGEMM"), fresh.clone());
+        e.cache_mut(&k("P1")).unwrap().insert(k("DGEMM"), fresh);
         // A delayed invalidation from before the re-learn arrives last:
         // the epoch guard must spare the fresher entry.
         e.deliver_invalidation(&k("P1"), &k("DGEMM"), stale_epoch);
@@ -3035,6 +3086,125 @@ mod tests {
             )
             .unwrap();
         assert!(matches!(step, Step::Requeue(_)));
+    }
+
+    /// Drains `t` through the engine (test-sized FIFO pump).
+    fn drain(e: &mut Engine, t: &mut FifoTransport) {
+        while let Some((_, env)) = t.queue.pop_front() {
+            assert!(matches!(e.deliver(t, env).unwrap(), Step::Done));
+        }
+    }
+
+    /// The auditor's cache findings (the hand-built engines here are
+    /// not valid overlays, so the ring and mapping passes are moot).
+    fn cache_violations(e: &Engine) -> Vec<Violation> {
+        e.audit()
+            .into_iter()
+            .filter(|v| v.check == AuditCheck::Cache)
+            .collect()
+    }
+
+    /// Targeted invalidation: only the subscribed holder is sent an
+    /// `InvalidateCached`; delivery unsubscribes it once no shortcut
+    /// through the label is left, and a fresher shortcut kept by the
+    /// epoch guard keeps the subscription.
+    #[test]
+    fn invalidations_reach_only_subscribed_holders() {
+        let mut e = cached_engine(8);
+        e.add_local_shard(k("P3"), 100);
+        e.directory.insert(k("DGEMM"), k("P2"));
+        let lid = e.directory.id_of(&k("DGEMM")).unwrap();
+        let p1 = e.directory.id_of(&k("P1")).unwrap();
+        let mut t = FifoTransport::default();
+        // Nobody holds a shortcut: nothing is sent.
+        e.queue_invalidations(&k("DGEMM"), &mut t);
+        assert!(t.queue.is_empty());
+        assert_eq!(e.cache_stats.invalidations_sent, 0);
+        // P1 learns it and is the one recipient.
+        e.learn_shortcut(k("DGEMM"), p1);
+        assert!(e.subscriptions.contains(lid, p1));
+        assert_eq!(cache_violations(&e), Vec::<Violation>::new());
+        e.queue_invalidations(&k("DGEMM"), &mut t);
+        let to: Vec<Address> = t.queue.iter().map(|(_, env)| env.to.clone()).collect();
+        assert_eq!(to, vec![Address::peer(k("P1"))]);
+        assert_eq!(e.cache_stats.invalidations_sent, 1);
+        drain(&mut e, &mut t);
+        assert_eq!(e.route_cache(&k("P1")).unwrap().len(), 0);
+        assert!(!e.subscriptions.contains(lid, p1), "pruned on delivery");
+        // A stale invalidation spares a fresher re-learned shortcut and
+        // its subscription.
+        let stale = e.directory.epoch_of(&k("DGEMM"));
+        e.directory.bump_epoch(&k("DGEMM"));
+        e.learn_shortcut(k("DGEMM"), p1);
+        e.deliver_invalidation(&k("P1"), &k("DGEMM"), stale);
+        assert_eq!(e.route_cache(&k("P1")).unwrap().len(), 1);
+        assert!(e.subscriptions.contains(lid, p1));
+        assert_eq!(cache_violations(&e), Vec::<Violation>::new());
+    }
+
+    /// A lost invalidation leaves the holder subscribed, so the next
+    /// invalidation of the label still reaches it; a departed
+    /// subscriber is pruned at send time.
+    #[test]
+    fn lost_invalidations_keep_the_holder_subscribed() {
+        let mut e = cached_engine(8);
+        e.directory.insert(k("DGEMM"), k("P2"));
+        let lid = e.directory.id_of(&k("DGEMM")).unwrap();
+        let (p1, p2) = (
+            e.directory.id_of(&k("P1")).unwrap(),
+            e.directory.id_of(&k("P2")).unwrap(),
+        );
+        e.learn_shortcut(k("DGEMM"), p1);
+        e.learn_shortcut(k("DGEMM"), p2);
+        let mut t = FifoTransport::default();
+        e.queue_invalidations(&k("DGEMM"), &mut t);
+        assert_eq!(t.queue.len(), 2);
+        t.queue.clear(); // both lost in transit
+        assert!(e.subscriptions.contains(lid, p1) && e.subscriptions.contains(lid, p2));
+        assert_eq!(cache_violations(&e), Vec::<Violation>::new());
+        e.remove_member(&k("P2"));
+        e.queue_invalidations(&k("DGEMM"), &mut t);
+        let to: Vec<Address> = t.queue.iter().map(|(_, env)| env.to.clone()).collect();
+        assert_eq!(
+            to,
+            vec![Address::peer(k("P1"))],
+            "the retry reaches the holder"
+        );
+        assert!(!e.subscriptions.contains(lid, p2), "departed peer pruned");
+        drain(&mut e, &mut t);
+        assert_eq!(e.route_cache(&k("P1")).unwrap().len(), 0);
+    }
+
+    /// A peer rename carries the subscriptions of its cached shortcuts
+    /// to the new id, so the auditor's superset check stays clean and
+    /// the renamed holder keeps receiving invalidations.
+    #[test]
+    fn renamed_holders_stay_subscribed() {
+        let mut e = cached_engine(8);
+        e.directory.insert(k("DGEMM"), k("P2"));
+        let p1 = e.directory.id_of(&k("P1")).unwrap();
+        e.learn_shortcut(k("DGEMM"), p1);
+        e.rename_shard(&k("P1"), k("P0")).unwrap();
+        assert_eq!(cache_violations(&e), Vec::<Violation>::new());
+        let mut t = FifoTransport::default();
+        e.queue_invalidations(&k("DGEMM"), &mut t);
+        let to: Vec<Address> = t.queue.iter().map(|(_, env)| env.to.clone()).collect();
+        assert_eq!(to, vec![Address::peer(k("P0"))]);
+        drain(&mut e, &mut t);
+        assert_eq!(e.route_cache(&k("P0")).unwrap().len(), 0);
+    }
+
+    /// The auditor flags a cached shortcut whose holder is not
+    /// subscribed to its label.
+    #[test]
+    fn audit_flags_unsubscribed_holders() {
+        let mut e = cached_engine(8);
+        e.directory.insert(k("DGEMM"), k("P2"));
+        let sc = cache::learned_shortcut(&e.directory, &k("DGEMM")).expect("live");
+        e.cache_mut(&k("P1")).unwrap().insert(k("DGEMM"), sc);
+        let v = cache_violations(&e);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].detail.contains("not subscribed"), "{}", v[0].detail);
     }
 
     #[test]

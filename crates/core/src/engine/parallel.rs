@@ -193,9 +193,7 @@ impl Ring {
         }
     }
 
-    /// Pushes one lane; hands it back when the ring is full. On
-    /// success returns the ring depth *after* the push (for peak
-    /// tracking).
+    /// Pushes one lane; hands it back when the ring is full.
     ///
     /// # Safety
     ///
@@ -203,11 +201,10 @@ impl Ring {
     // The Err payload *is* the rejected lane — handing it back by
     // value is the point, not an oversized error type.
     #[allow(clippy::result_large_err)]
-    unsafe fn push(&self, lane: Lane) -> std::result::Result<usize, Lane> {
+    unsafe fn push(&self, lane: Lane) -> std::result::Result<(), Lane> {
         let tail = self.tail.0.load(Ordering::Relaxed);
         let head = self.head.0.load(Ordering::Acquire);
-        let depth = tail - head;
-        if depth == self.buf.len() {
+        if tail - head == self.buf.len() {
             return Err(lane);
         }
         // SAFETY: `tail - head < len`, so this slot is retired (the
@@ -215,7 +212,7 @@ impl Ring {
         // acquire load) and only the producer touches it now.
         unsafe { (*self.buf[tail & (self.buf.len() - 1)].get()).write(lane) };
         self.tail.0.store(tail + 1, Ordering::Release);
-        Ok(depth + 1)
+        Ok(())
     }
 
     /// Pops the oldest lane, or `None` when the ring is empty.
@@ -331,9 +328,10 @@ struct WorkerOut {
     discovery_messages: u64,
     discovery_drops: u64,
     undeliverable: u64,
-    /// Deepest occupancy this worker observed pushing into any of its
-    /// outbound rings (health observability).
-    ring_peak: u32,
+    /// Largest envelope batch this worker promised any receiver in one
+    /// credit epoch (health observability; see
+    /// [`PumpHealth`](super::PumpHealth)).
+    lane_batch_peak: u32,
     /// True when this worker aborted — it panicked (caught at the
     /// worker boundary) or saw the shared failure flag while waiting.
     /// One failed worker fails the whole batch.
@@ -368,7 +366,8 @@ struct Mesh<'a> {
     /// instead of yield-spinning — on a single core that lets the
     /// worker with actual work run uninterrupted.
     roster: &'a Roster,
-    ring_peak: u32,
+    /// Largest `sent` this worker has put in a [`Lane::Credit`].
+    lane_batch_peak: u32,
 }
 
 impl<'a> Mesh<'a> {
@@ -388,7 +387,7 @@ impl<'a> Mesh<'a> {
             sent: vec![0; n],
             failed,
             roster,
-            ring_peak: 0,
+            lane_batch_peak: 0,
         }
     }
 
@@ -432,10 +431,7 @@ impl<'a> Mesh<'a> {
         loop {
             // SAFETY: worker `me` is ring `me → r`'s single producer.
             match unsafe { self.txs[r].push(lane) } {
-                Ok(depth) => {
-                    self.ring_peak = self.ring_peak.max(depth as u32);
-                    return true;
-                }
+                Ok(()) => return true,
                 Err(back) => {
                     lane = back;
                     if self.failed.load(Ordering::Relaxed) {
@@ -463,6 +459,7 @@ impl<'a> Mesh<'a> {
     /// total for the epoch.
     fn send_credit(&mut self, r: usize, epoch: u32, total: u64) -> bool {
         let sent = std::mem::take(&mut self.sent[r]);
+        self.lane_batch_peak = self.lane_batch_peak.max(sent);
         let ok = self.push(r, Lane::Credit { epoch, sent, total });
         // The credit is what unblocks the receiver's epoch; wake it.
         self.unpark(r);
@@ -673,7 +670,7 @@ impl ParallelPump {
         engine.pump_health.slice_of.clear();
         engine.pump_health.slice_of.resize(interned, 0);
         engine.pump_health.slices = n as u16;
-        let mut ring_peak = 0u32;
+        let mut lane_batch_peak = 0u32;
         for out in &mut outs {
             let ids = std::mem::take(&mut out.slice.ids);
             let shards = std::mem::take(&mut out.slice.shards);
@@ -684,9 +681,9 @@ impl ParallelPump {
             engine.stats.discovery_messages += out.discovery_messages;
             engine.stats.discovery_drops += out.discovery_drops;
             engine.stats.undeliverable += out.undeliverable;
-            ring_peak = ring_peak.max(out.ring_peak);
+            lane_batch_peak = lane_batch_peak.max(out.lane_batch_peak);
         }
-        engine.pump_health.ring_peak = ring_peak;
+        engine.pump_health.lane_batch_peak = lane_batch_peak;
 
         // Worker trace events merge by the same `(round, worker, seq)`
         // tag as the response fold below, so the trace interleaves
@@ -793,7 +790,7 @@ fn worker_loop<'a>(
         discovery_messages: 0,
         discovery_drops: 0,
         undeliverable: 0,
-        ring_peak: 0,
+        lane_batch_peak: 0,
         failed: false,
     };
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -813,7 +810,7 @@ fn worker_loop<'a>(
             out: &mut out,
         };
         worker.run_epochs();
-        worker.out.ring_peak = worker.mesh.ring_peak;
+        worker.out.lane_batch_peak = worker.mesh.lane_batch_peak;
     }));
     if caught.is_err() {
         out.failed = true;
@@ -1150,10 +1147,7 @@ mod tests {
         // SAFETY (whole test): single thread — trivially SPSC.
         unsafe {
             for i in 0..4 {
-                match ring.push(Lane::Env(env(i))) {
-                    Ok(depth) => assert_eq!(depth, i as usize + 1),
-                    Err(_) => panic!("ring must accept {i}"),
-                }
+                assert!(ring.push(Lane::Env(env(i))).is_ok(), "ring must accept {i}");
             }
             assert!(
                 ring.push(Lane::Credit {
@@ -1368,11 +1362,13 @@ mod tests {
         assert!(out[0].satisfied);
     }
 
-    /// Satellite regression (observability): a batch must leave behind
-    /// the slice map and the ring high-water mark that
-    /// `Engine::collect_health` surfaces as per-peer slice occupancy.
+    /// Observability regression: a batch must leave behind the slice
+    /// map that `Engine::collect_health` surfaces as per-peer slice
+    /// occupancy, and the largest per-epoch lane batch — a count the
+    /// credit protocol fixes, so it repeats across runs whatever the
+    /// thread interleaving.
     #[test]
-    fn pump_health_records_slice_ownership_and_ring_depth() {
+    fn pump_health_records_slice_ownership_and_lane_batches() {
         let mut sys = built_system(42, u32::MAX >> 1);
         sys.discover_batch(query_mix(), 3).unwrap();
         assert_eq!(sys.pump_health.slices, 3);
@@ -1388,10 +1384,32 @@ mod tests {
                 "slice {w} must own at least one peer"
             );
         }
-        assert!(
-            sys.pump_health.ring_peak > 0,
-            "cross-slice traffic must register on the rings"
-        );
+        // Lane batches need hops that cross slices: a binary tree
+        // spread over many peers.
+        let spread = || {
+            let key = |i: u32| Key::from(format!("{i:08b}").as_str());
+            let mut sys = DlptSystem::builder()
+                .alphabet(crate::alphabet::Alphabet::binary())
+                .seed(5)
+                .peer_id_len(8)
+                .bootstrap_peers(16)
+                .build();
+            for i in 0..64 {
+                sys.insert_data(key(i * 4)).unwrap();
+            }
+            let queries = (0..64).map(|i| QueryKind::Exact(key(i * 4))).collect();
+            sys.discover_batch(queries, 3).unwrap();
+            sys.pump_health.lane_batch_peak
+        };
+        let peak = spread();
+        assert!(peak > 0, "cross-slice traffic must register in the credits");
+        for _ in 0..4 {
+            assert_eq!(
+                spread(),
+                peak,
+                "the lane batch peak is scheduler-independent"
+            );
+        }
         // Slices are contiguous runs of the ring order: walking the
         // members in order, the slice index never decreases.
         let mut last = 0u16;

@@ -144,9 +144,10 @@ pub struct HealthSnapshot {
     /// Worker-slice count of the last parallel batch (0 when only the
     /// sequential pump has run).
     pub slices: u64,
-    /// Peak SPSC ring occupancy observed during the last parallel
-    /// batch (0 when only the sequential pump has run).
-    pub ring_peak: u64,
+    /// Largest envelope batch one worker sent another within one
+    /// credit epoch of the last parallel batch (0 when only the
+    /// sequential pump has run). Deterministic per `(seed, workers)`.
+    pub lane_batch_peak: u64,
     /// Memory accounting for the whole engine at snapshot time.
     pub bytes: MemoryFootprint,
 }
@@ -265,7 +266,7 @@ impl HealthSnapshot {
              \"under_replicated\":{},\"cache_hits\":{},\"cache_stale\":{},\"cache_learned\":{},\
              \"lost\":{},\"duplicated\":{},\"reordered\":{},\"partition_dropped\":{},\
              \"dedup_suppressed\":{},\"retries\":{},\"requests_failed\":{},\"violations\":{},\
-             \"slices\":{},\"ring_peak\":{},\
+             \"slices\":{},\"lane_batch_peak\":{},\
              \"bytes_total\":{},\"bytes_directory\":{},\"bytes_slab\":{},\"bytes_shards\":{},\
              \"bytes_caches\":{},\"bytes_per_node\":{:.1},\"bytes_per_peer\":{:.1},\
              \"depth_occupancy\":[",
@@ -291,7 +292,7 @@ impl HealthSnapshot {
             f.requests_failed,
             self.audit_violations,
             self.slices,
-            self.ring_peak,
+            self.lane_batch_peak,
             self.bytes.total(),
             self.bytes.directory_bytes,
             self.bytes.slab_bytes,
@@ -336,7 +337,7 @@ impl HealthSnapshot {
             ("dlpt_bytes_total", self.bytes.total() as f64),
             ("dlpt_unit", self.unit as f64),
             ("dlpt_pump_slices", self.slices as f64),
-            ("dlpt_pump_ring_peak", self.ring_peak as f64),
+            ("dlpt_pump_lane_batch_peak", self.lane_batch_peak as f64),
         ];
         for (name, v) in scalars {
             let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v:.4}");
@@ -430,7 +431,7 @@ mod tests {
             },
         ];
         snap.slices = 2;
-        snap.ring_peak = 7;
+        snap.lane_batch_peak = 7;
         let mut a = String::new();
         let mut b = String::new();
         snap.write_jsonl_line("t", 0, &mut a);
@@ -439,13 +440,14 @@ mod tests {
         assert!(a.starts_with("{\"cfg\":\"t\",\"run\":0,\"unit\":3,"));
         assert!(a.ends_with("]}\n"));
         assert!(a.contains("\"depth_occupancy\":[1,2,2]"));
-        assert!(a.contains("\"slices\":2,\"ring_peak\":7"));
+        assert!(a.contains("\"slices\":2,\"lane_batch_peak\":7"));
         assert!(a.contains("\"peer_load\":[[0,3,0,0,9,1],[1,2,0,0,3,2]]"));
 
         let mut prom = String::new();
         snap.write_prometheus(&mut prom);
         assert!(prom.contains("dlpt_peers 2.0000"));
         assert!(prom.contains("dlpt_pump_slices 2.0000"));
+        assert!(prom.contains("dlpt_pump_lane_batch_peak 7.0000"));
         assert!(prom.contains("dlpt_peer_nodes{peer=\"0\"} 3"));
     }
 

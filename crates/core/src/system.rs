@@ -537,7 +537,7 @@ impl DlptSystem {
     /// the balancers; counted as balance traffic.
     pub fn migrate_node(&mut self, label: &Key, to: &Key) -> Result<()> {
         // Unlike the other mutating entry points (whose emissions are
-        // all reliable-class), a migration broadcasts the faultable
+        // all reliable-class), a migration sends the faultable
         // `InvalidateCached` — it must enter through the fault layer or
         // a partition could never strand a stale shortcut.
         if self.faults.is_active() {

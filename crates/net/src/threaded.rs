@@ -492,10 +492,11 @@ impl ThreadedDlpt {
             let reply = self.reply_rx.recv().expect("peer threads alive");
             self.inflight -= 1;
             // Route the peer's effects through the engine: directory
-            // updates, dissolution bookkeeping and the eager cache
-            // invalidation broadcast (one implementation for every
-            // runtime) — the broadcast frames land on the router queue
-            // and terminate at the engine-owned caches in `dispatch`.
+            // updates, dissolution bookkeeping and the targeted eager
+            // cache invalidation (one implementation for every
+            // runtime) — the invalidation frames land on the router
+            // queue and terminate at the engine-owned caches in
+            // `dispatch`.
             let mut fx = Effects {
                 out: Vec::new(),
                 relocated: reply.relocated,

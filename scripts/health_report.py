@@ -32,7 +32,7 @@ INT_KEYS = (
     "run", "unit", "peers", "nodes", "max_depth", "under_replicated",
     "cache_hits", "cache_stale", "cache_learned", "lost", "duplicated",
     "reordered", "partition_dropped", "dedup_suppressed", "retries",
-    "requests_failed", "violations", "slices", "ring_peak",
+    "requests_failed", "violations", "slices", "lane_batch_peak",
     "bytes_total", "bytes_directory", "bytes_slab", "bytes_shards",
     "bytes_caches",
 )

@@ -14,7 +14,7 @@
 //! pollute the global counter.
 
 use dlpt::core::messages::QueryKind;
-use dlpt::core::{Alphabet, DlptSystem, Key};
+use dlpt::core::{Alphabet, DlptSystem, FifoTransport, Key};
 use dlpt::net::{LatencyModel, LatencyNet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -334,5 +334,54 @@ fn routed_envelopes_are_allocation_free_in_steady_state() {
         post_allocs.abs_diff(ring_allocs) <= JITTER,
         "health collection must not perturb routing: {post_allocs} allocs vs \
          {ring_allocs} before"
+    );
+
+    // ---- Phase 7: warm targeted invalidation allocates nothing. ----
+    // A cached system learns one shortcut per round (entry peer of
+    // "01" → node "101111"), then the label's eager invalidation is
+    // sent to its subscribers and delivered. Only the learning peer is
+    // subscribed, so exactly one envelope travels; the handler unlinks
+    // the slot during its walk of the LRU list and returns the
+    // subscription link to the pool. Once the queue, the free lists
+    // and the effect scratch are warm, the send-and-deliver cycle
+    // must not touch the allocator.
+    let mut sys = DlptSystem::builder()
+        .alphabet(Alphabet::binary())
+        .seed(7)
+        .peer_id_len(10)
+        .bootstrap_peers(4)
+        .cache_capacity(8)
+        .build();
+    for s in ["01", "10101", "10111", "101111"] {
+        sys.insert_data(Key::from(s)).unwrap();
+    }
+    let label = Key::from("101111");
+    let probe = QueryKind::Exact(label.clone());
+    let mut fifo = FifoTransport::default();
+    let mut invalidation_allocs = 0;
+    for round in 0..(8 + ROUNDS) {
+        let out = sys.request_from(&entry, probe.clone()).unwrap();
+        assert!(out.satisfied);
+        let sent = sys.cache_stats.invalidations_sent;
+        let (n, ()) = count(|| {
+            sys.queue_invalidations(&label, &mut fifo);
+            while let Some((_, env)) = fifo.queue.pop_front() {
+                sys.deliver(&mut fifo, env).unwrap();
+            }
+        });
+        assert_eq!(
+            sys.cache_stats.invalidations_sent - sent,
+            1,
+            "only the subscribed holder is sent the invalidation"
+        );
+        if round >= 8 {
+            invalidation_allocs += n;
+        }
+    }
+    assert!(sys.audit().is_empty(), "subscriptions stay a superset");
+    assert_eq!(
+        invalidation_allocs, 0,
+        "warm targeted invalidation must not allocate: {invalidation_allocs} allocs \
+         over {ROUNDS} send-and-deliver cycles"
     );
 }

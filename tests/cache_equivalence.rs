@@ -6,7 +6,7 @@
 //! registrations, removals, churn and balancer migrations, all of
 //! which create stale shortcuts that the epoch check must catch.
 
-use dlpt::core::{Alphabet, DlptSystem, FaultPlan, Key, QueryKind};
+use dlpt::core::{Alphabet, AuditCheck, DlptSystem, FaultPlan, Key, QueryKind};
 use proptest::prelude::*;
 
 /// Very short binary keys: dense prefix relations and frequent
@@ -230,6 +230,50 @@ proptest! {
         let stats = faulty.fault_stats();
         prop_assert_eq!(stats.lost, 0, "plan loses nothing");
         prop_assert_eq!(stats.requests_failed, 0, "nothing to retry past");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// What targeted invalidation must preserve from the all-members
+    /// broadcast it replaced: after any fault-free, drained
+    /// interleaving of inserts, removes, lookups, churn and
+    /// migrations, the auditor is clean — including its check that
+    /// every cached shortcut's holder is subscribed to the shortcut's
+    /// label — and no route cache holds a shortcut to a dead label.
+    /// (`Op::Migrate` is a raw balancer move that leaves the node off
+    /// its Definition-2 host on purpose, so mapping-rule findings are
+    /// the one audit pass excused here.)
+    #[test]
+    fn targeted_invalidation_leaves_no_shortcut_to_a_dead_label(
+        ops in proptest::collection::vec(op(), 1..40),
+        seed in 0u64..500,
+        cache in prop_oneof![Just(2usize), Just(8usize), Just(64usize)],
+    ) {
+        let mut sys = system(seed, cache);
+        for op in &ops {
+            apply(&mut sys, op);
+            let violations: Vec<_> = sys
+                .audit()
+                .into_iter()
+                .filter(|v| v.check != AuditCheck::Mapping)
+                .collect();
+            prop_assert!(violations.is_empty(), "after {:?}: {:?}", op, violations);
+            for peer in sys.peer_ids() {
+                let cache = sys.route_cache(&peer).expect("every member has a cache");
+                for (target, sc) in cache.iter_shortcuts() {
+                    prop_assert!(
+                        sys.directory().host_id(sc.label).is_some(),
+                        "after {:?}: {} caches {} through dead label {}",
+                        op,
+                        peer,
+                        target,
+                        sys.directory().key_of(sc.label)
+                    );
+                }
+            }
+        }
     }
 }
 
