@@ -13,16 +13,34 @@ use dlpt_sim::report::{ascii_chart, results_dir, write_csv};
 use dlpt_sim::runner::{run_experiment, AveragedSeries};
 
 /// Scale factor parsed from `--scale N` (default 1 = paper scale).
+/// A missing, non-numeric or zero value exits with status 2 and a
+/// usage message instead of silently running at paper scale.
 pub fn scale_from_args() -> usize {
-    let mut args = std::env::args().skip(1);
+    parse_scale(std::env::args().skip(1)).unwrap_or_else(|e| {
+        let bin = std::env::args().next().unwrap_or_default();
+        eprintln!("error: {e}");
+        eprintln!("usage: {bin} [--scale N] ...  (N >= 1 divides run counts; 1 = paper scale)");
+        std::process::exit(2)
+    })
+}
+
+/// Parses `--scale N` out of `args` (program name excluded): `Ok(1)`
+/// when the flag is absent, `Err` when its value is missing,
+/// non-numeric or 0.
+fn parse_scale<I: IntoIterator<Item = String>>(args: I) -> Result<usize, String> {
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         if a == "--scale" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
+            return match args.next() {
+                None => Err("--scale needs a value".to_string()),
+                Some(v) => match v.parse::<usize>() {
+                    Ok(n) if n >= 1 => Ok(n),
+                    _ => Err(format!("--scale expects an integer >= 1, got {v:?}")),
+                },
+            };
         }
     }
-    1
+    Ok(1)
 }
 
 /// Optional trace output path parsed from `--trace PATH`. `None` when
@@ -157,4 +175,40 @@ pub fn run_satisfaction_figure(
     }
     println!("  CSV: {}", path.display());
     series
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn scale_defaults_to_paper_scale_when_absent() {
+        assert_eq!(parse_scale(args(&[])), Ok(1));
+        assert_eq!(parse_scale(args(&["--health", "h.jsonl"])), Ok(1));
+    }
+
+    #[test]
+    fn scale_reads_its_value_among_other_flags() {
+        assert_eq!(parse_scale(args(&["--scale", "8"])), Ok(8));
+        assert_eq!(
+            parse_scale(args(&["--crash-rate", "0.1", "--scale", "20"])),
+            Ok(20)
+        );
+    }
+
+    #[test]
+    fn malformed_scale_is_rejected() {
+        for bad in [
+            &["--scale"][..],
+            &["--scale", "abc"],
+            &["--scale", "0"],
+            &["--scale", "-3"],
+        ] {
+            assert!(parse_scale(args(bad)).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }

@@ -1,29 +1,24 @@
 //! The runtime-agnostic protocol engine.
 //!
-//! Before this module existed the workspace maintained three
-//! hand-mirrored copies of the DLPT driver loop — the synchronous pump
-//! in [`crate::system::DlptSystem`], the discrete-event `LatencyNet`
-//! and the threaded `ThreadedDlpt` in `dlpt-net` — and every
-//! cross-cutting subsystem (replication flush, cache invalidation)
-//! had to be re-implemented three times. [`Engine`] collapses them:
-//! it owns the per-peer shards, the delivery [`Directory`], the
-//! per-peer [`RouteCache`]s and the replication bookkeeping, and
-//! processes every envelope through **one** state machine
-//! ([`Engine::deliver`]). What distinguishes the runtimes is only *how
-//! messages travel*, which the [`Transport`] trait abstracts:
+//! [`Engine`] is the one DLPT state machine every runtime drives: it
+//! owns the per-peer shards, the delivery [`Directory`], the per-peer
+//! [`RouteCache`]s and the replication bookkeeping, and processes
+//! every envelope through [`Engine::deliver`]. Cross-cutting
+//! subsystems (replication flush, cache invalidation) therefore exist
+//! once. What distinguishes the runtimes is only *how messages
+//! travel*, which the [`Transport`] trait abstracts:
 //!
 //! | Runtime | Transport | Delivery |
 //! |---|---|---|
 //! | [`crate::system::DlptSystem`] | [`FifoTransport`] | immediate FIFO |
 //! | `dlpt-net::sim::LatencyNet` | latency event queue | sampled delay |
-//! | `dlpt-net::threaded::ThreadedDlpt` | framed channels | encoded frames to peer threads |
 //! | [`parallel::ParallelPump`] | per-slice SPSC rings | credit-based quiescence |
 //!
-//! A transport only queues envelopes; it never interprets them. The
-//! engine in turn never schedules — it reports `Requeue` when a
-//! destination is still in flight and lets the runtime decide whether
-//! to retry now (FIFO), one tick later (latency queue) or after the
-//! next peer reply (framed channels).
+//! Every runtime is deterministic per `(seed, workers)`. A transport
+//! only queues envelopes; it never interprets them. The engine in
+//! turn never schedules — it reports `Requeue` when a destination is
+//! still in flight and lets the runtime decide whether to retry now
+//! (FIFO) or one tick later (latency queue).
 //!
 //! Behavioural knobs that used to be implicit in which runtime you
 //! picked are explicit [`EngineConfig`] flags: the Section-4 capacity
@@ -62,28 +57,13 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// How envelopes travel between the engine and the peers.
 ///
 /// Implementations queue envelopes for later processing — immediate
-/// FIFO, a latency-sampling event queue, encoded frames over crossbeam
-/// channels, or per-slice SPSC rings drained under credit-based
-/// quiescence. A transport never interprets an envelope: all protocol
-/// behaviour stays in the engine, which is what keeps the three
-/// runtimes equivalent.
+/// FIFO, a latency-sampling event queue, or per-slice SPSC rings
+/// drained under credit-based quiescence. A transport never interprets
+/// an envelope: all protocol behaviour stays in the engine, which is
+/// what keeps the runtimes equivalent.
 pub trait Transport {
     /// Queues one envelope for delivery.
     fn deliver(&mut self, env: Envelope);
-
-    /// Queues an envelope for every element of `envs` — fan-out events
-    /// such as anti-entropy kicks. The default delivers
-    /// in iteration order; transports with a cheaper broadcast path
-    /// may override.
-    fn broadcast<I>(&mut self, envs: I)
-    where
-        I: IntoIterator<Item = Envelope>,
-        Self: Sized,
-    {
-        for env in envs {
-            self.deliver(env);
-        }
-    }
 
     /// The transport's logical clock (0 for untimed FIFO transports).
     fn now(&self) -> u64 {
@@ -93,8 +73,8 @@ pub trait Transport {
     /// Whether queuing through this transport is immediate FIFO work
     /// the engine may equivalently run inline ("hop chaining", see
     /// [`Engine::deliver`]). Only the synchronous [`FifoTransport`]
-    /// says yes: modelled-latency, fault-injecting, threaded and
-    /// batched transports must observe every individual hop.
+    /// says yes: modelled-latency, fault-injecting and batched
+    /// transports must observe every individual hop.
     fn synchronous(&self) -> bool {
         false
     }
@@ -153,8 +133,8 @@ pub struct EngineConfig {
     /// experiment-harness concern there.
     pub charge_capacity: bool,
     /// Judge request completion only once the network is quiescent.
-    /// Required when responses arrive out of order (latency queue,
-    /// threads): the outstanding-branch counter can transiently touch
+    /// Required when responses can arrive out of order (the latency
+    /// queue): the outstanding-branch counter can transiently touch
     /// zero while a parent's response is still in flight. The
     /// synchronous pump finalizes eagerly instead (FIFO order makes
     /// the transient impossible).
@@ -382,8 +362,10 @@ const SLOT_NONE: u32 = u32::MAX;
 struct PeerSlot {
     /// The peer's identifier (renders ids back to keys at boundaries).
     key: Key,
-    /// The locally hosted shard; `None` for remote members (the
-    /// threaded runtime's shards live on peer threads).
+    /// The peer's shard. `None` only while the parallel pump has lent
+    /// it to a worker slice for a batch ([`Engine::detach_shards`]);
+    /// between batches every member's shard is here, which
+    /// [`Engine::audit`] checks.
     shard: Option<PeerShard>,
     /// The peer's entry-point routing-shortcut cache.
     cache: RouteCache,
@@ -518,11 +500,8 @@ enum ChainStep {
 pub struct Engine {
     config: EngineConfig,
     /// Per-peer state (shard + entry-point cache), slab-indexed by the
-    /// peer's interned id. The synchronous and discrete-event runtimes
-    /// keep every shard here; the threaded runtime's shards live on
-    /// peer threads and the slots carry `shard: None` (the engine then
-    /// serves as the router: directory, caches, aggregation,
-    /// membership).
+    /// peer's interned id. Every member's shard lives here except
+    /// while a parallel batch owns it.
     peers: PeerSlab,
     /// Every live peer, in ring (identifier) order — the broadcast
     /// domain and the canonical iteration order for anything that
@@ -727,13 +706,14 @@ impl Engine {
         self.directory.labels().cloned().collect()
     }
 
-    /// Borrow a peer shard (locally hosted runtimes only).
+    /// Borrow a peer shard (`None` for non-members and while a
+    /// parallel batch owns the shards).
     pub fn shard(&self, id: &Key) -> Option<&PeerShard> {
         let pid = self.directory.id_of(id)?;
         self.peers.get(pid)?.shard.as_ref()
     }
 
-    /// Mutably borrow a peer shard (locally hosted runtimes only).
+    /// Mutably borrow a peer shard.
     pub(crate) fn shard_mut(&mut self, id: &Key) -> Option<&mut PeerShard> {
         let pid = self.directory.id_of(id)?;
         self.peers.get_mut(pid)?.shard.as_mut()
@@ -752,25 +732,25 @@ impl Engine {
         Some(&mut self.peers.get_mut(pid)?.cache)
     }
 
-    /// The locally hosted shards with their peer ids, in ring order.
+    /// The attached shards with their peer ids, in ring order.
     pub fn shards(&self) -> impl Iterator<Item = (&Key, &PeerShard)> + '_ {
         self.members
             .iter()
             .filter_map(move |id| self.shard(id).map(|s| (id, s)))
     }
 
-    /// The locally hosted shards in ring order.
-    pub(crate) fn local_shards(&self) -> impl Iterator<Item = &PeerShard> + '_ {
+    /// The attached shards in ring order.
+    pub(crate) fn attached_shards(&self) -> impl Iterator<Item = &PeerShard> + '_ {
         self.members.iter().filter_map(move |id| self.shard(id))
     }
 
-    /// Number of locally hosted shards.
-    pub(crate) fn local_shard_count(&self) -> usize {
-        self.local_shards().count()
+    /// Number of attached shards.
+    pub(crate) fn attached_shard_count(&self) -> usize {
+        self.attached_shards().count()
     }
 
-    /// Detaches every locally hosted shard in ring order, keyed by the
-    /// peer's interned id, leaving the slots in place. The parallel
+    /// Detaches every shard in ring order, keyed by the peer's
+    /// interned id, leaving the slots in place. The parallel
     /// pump partitions the result into per-worker slices that *own*
     /// their shards for the batch and hands each one back through
     /// [`Engine::attach_shard`]. Id-keyed (not key-keyed) so slice
@@ -801,7 +781,7 @@ impl Engine {
             Some(slot) => slot.shard = Some(shard),
             None => {
                 let id = self.directory.key_of(pid).clone();
-                self.insert_peer(id, Some(shard));
+                self.insert_peer(id, shard);
             }
         }
     }
@@ -809,13 +789,6 @@ impl Engine {
     /// The delivery directory.
     pub fn directory(&self) -> &Directory {
         &self.directory
-    }
-
-    /// Mutable access to the delivery directory (runtimes that resolve
-    /// deliveries outside [`Engine::deliver`], e.g. the framed router,
-    /// bump epochs and heal entries through this).
-    pub fn directory_mut(&mut self) -> &mut Directory {
-        &mut self.directory
     }
 
     /// The peer hosting node `label`, per the delivery directory.
@@ -849,7 +822,7 @@ impl Engine {
             .or_else(|| self.members.iter().next())
     }
 
-    /// Borrow a node's state wherever it is hosted (local shards).
+    /// Borrow a node's state wherever it is hosted.
     pub fn node(&self, label: &Key) -> Option<&NodeState> {
         let lid = self.directory.id_of(label)?;
         let hid = self.directory.host_id(lid)?;
@@ -866,7 +839,7 @@ impl Engine {
     /// histogram ([`crate::metrics::DepthHistogram`]).
     pub fn depth_map(&self) -> BTreeMap<Key, u32> {
         let mut depths: BTreeMap<Key, u32> = BTreeMap::new();
-        for shard in self.local_shards() {
+        for shard in self.attached_shards() {
             for node in shard.nodes.values() {
                 self.depth_into(&node.label, &mut depths);
             }
@@ -886,10 +859,10 @@ impl Engine {
         d
     }
 
-    /// Every registered service key, ascending (local shards).
+    /// Every registered service key, ascending.
     pub fn registered_keys(&self) -> Vec<Key> {
         let mut out = Vec::new();
-        for shard in self.local_shards() {
+        for shard in self.attached_shards() {
             for node in shard.nodes.values() {
                 out.extend(node.data.iter().cloned());
             }
@@ -913,33 +886,28 @@ impl Engine {
     // Membership
     // ------------------------------------------------------------------
 
-    /// Registers a peer whose shard the engine hosts locally. The
-    /// runtime then routes the join itself ([`Engine::join_envelope`]).
+    /// Registers a peer together with a fresh shard. The runtime then
+    /// routes the join itself ([`Engine::join_envelope`]).
     pub fn add_local_shard(&mut self, id: Key, capacity: u32) {
         let shard = PeerShard::new(id.clone(), capacity);
-        self.insert_peer(id, Some(shard));
+        self.insert_peer(id, shard);
     }
 
-    /// Registers a peer whose shard lives elsewhere (peer threads).
-    pub fn add_member(&mut self, id: Key) {
-        self.insert_peer(id, None);
-    }
-
-    fn insert_peer(&mut self, id: Key, shard: Option<PeerShard>) {
+    fn insert_peer(&mut self, id: Key, shard: PeerShard) {
         let pid = self.directory.intern(&id);
         self.peers.insert(
             pid,
             PeerSlot {
                 key: id.clone(),
-                shard,
+                shard: Some(shard),
                 cache: RouteCache::new(self.config.cache_capacity),
             },
         );
         self.members.insert(id);
     }
 
-    /// Forgets a peer: membership, its entry-point cache, and its
-    /// local shard if any. Returns the shard.
+    /// Forgets a peer: membership, its entry-point cache and its
+    /// shard. Returns the shard.
     pub fn remove_member(&mut self, id: &Key) -> Option<PeerShard> {
         self.members.remove(id);
         let pid = self.directory.id_of(id)?;
@@ -1081,7 +1049,7 @@ impl Engine {
     /// quiescence judging the runtime calls
     /// [`Engine::finish_request`] once drained. Responses for already
     /// finalized (or unknown) requests are dropped as stale.
-    pub fn client_response(&mut self, outcome: DiscoveryOutcome) {
+    pub(crate) fn client_response(&mut self, outcome: DiscoveryOutcome) {
         let fault_recovery = self.fault_recovery;
         let Some(agg) = self.gathers.get_mut(outcome.request_id) else {
             return; // stale response after request already finalized
@@ -1580,10 +1548,11 @@ impl Engine {
         }
     }
 
-    /// Delivers one eager-invalidation message to peer `id`'s cache.
-    /// Runtimes that resolve peer frames outside [`Engine::deliver`]
-    /// (the framed router) terminate their invalidation frames here.
-    pub fn deliver_invalidation(&mut self, id: &Key, label: &Key, epoch: u64) {
+    /// Delivers one eager-invalidation message to peer `id`'s cache —
+    /// what [`Engine::deliver`] does with an `InvalidateCached`
+    /// envelope, callable without a transport.
+    #[cfg(test)]
+    pub(crate) fn deliver_invalidation(&mut self, id: &Key, label: &Key, epoch: u64) {
         if let Some(pid) = self.directory.id_of(id) {
             self.invalidate_at(pid, label, epoch);
         }
@@ -1608,9 +1577,10 @@ impl Engine {
     /// Applies (and drains) the effect buffers, leaving `fx` empty with
     /// its capacity intact so callers can reuse it allocation-free:
     /// relocations update the directory (and schedule re-replication),
-    /// dissolutions drop the label, broadcast eager cache invalidation
-    /// and clear a dissolved root, outgoing envelopes enter `t`.
-    pub fn apply<T: Transport>(&mut self, fx: &mut Effects, t: &mut T) {
+    /// dissolutions drop the label, queue targeted eager cache
+    /// invalidation and clear a dissolved root, outgoing envelopes
+    /// enter `t`.
+    pub(crate) fn apply<T: Transport>(&mut self, fx: &mut Effects, t: &mut T) {
         let eager = self.config.eager_replication && self.config.replication > 1;
         for (label, host) in fx.relocated.drain(..) {
             let lid = self.directory.insert(label, host);
@@ -1772,13 +1742,13 @@ impl Engine {
         self.touched = touched_ids; // hand the capacity back
     }
 
-    /// The planning half of a self-healing anti-entropy pass over
-    /// *local* shards: re-plans follower sets, counts under-replicated
-    /// labels, garbage-collects stale copies and — unless the overlay
-    /// is already converged under eager maintenance — kicks every peer
-    /// with `SyncReplicas`. Returns the report and whether anything
-    /// was enqueued (the runtime then drains and fills in
-    /// `messages_sent`). No-op at `k = 1`.
+    /// The planning half of a self-healing anti-entropy pass: re-plans
+    /// follower sets, counts under-replicated labels, garbage-collects
+    /// stale copies and — unless the overlay is already converged
+    /// under eager maintenance — kicks every peer with `SyncReplicas`.
+    /// Returns the report and whether anything was enqueued (the
+    /// runtime then drains and fills in `messages_sent`). No-op at
+    /// `k = 1`.
     pub fn anti_entropy_scan<T: Transport>(&mut self, t: &mut T) -> (AntiEntropyReport, bool) {
         let k = self.config.replication;
         let mut report = AntiEntropyReport::default();
@@ -1851,11 +1821,9 @@ impl Engine {
         }
         let peers: Vec<Key> = self.members.iter().cloned().collect();
         repair::refresh_follower_records(&mut self.directory, &peers, k);
-        t.broadcast(
-            peers
-                .into_iter()
-                .map(|p| Envelope::to_peer(p, PeerMsg::SyncReplicas { k: k as u32 })),
-        );
+        for p in peers {
+            t.deliver(Envelope::to_peer(p, PeerMsg::SyncReplicas { k: k as u32 }));
+        }
         true
     }
 
@@ -1986,7 +1954,7 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Churn over local shards (shared by the sync and latency runtimes)
+    // Churn (shared by the sync and latency runtimes)
     // ------------------------------------------------------------------
 
     /// Graceful departure: the peer hands its nodes to its successor
@@ -2190,7 +2158,7 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Validation against the paper's invariants (local shards)
+    // Validation against the paper's invariants
     // ------------------------------------------------------------------
 
     /// Test-only: verifies the peer slab's internal consistency — the
@@ -2300,7 +2268,7 @@ impl Engine {
     /// Verifies Definition 1 over the distributed tree: bidirectional
     /// father/child links and pairwise-GCP labels.
     pub fn check_tree(&self) -> std::result::Result<(), TrieViolation> {
-        for shard in self.local_shards() {
+        for shard in self.attached_shards() {
             for node in shard.nodes.values() {
                 for d in &node.data {
                     if d != &node.label {
@@ -2384,12 +2352,9 @@ impl Engine {
     /// Audits directory↔slab↔trie↔replication cross-consistency and
     /// returns every violation found instead of panicking, so fault and
     /// partition scenarios can be audited mid-recovery. The checks are
-    /// read-only and cover what is *locally* verifiable: trie and ring
-    /// invariants are checked over locally hosted shards only (the
-    /// threaded runtime's engine is a router whose shards live on peer
-    /// threads), while directory, slab, mapping, replication-record and
-    /// cache-epoch checks run on every runtime. An empty result after
-    /// quiescence is the suite-wide invariant
+    /// read-only and run between batches, when every member's shard is
+    /// attached: a member without one is a directory violation. An
+    /// empty result after quiescence is the suite-wide invariant
     /// (`tests/runtime_equivalence.rs`).
     pub fn audit(&self) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -2439,6 +2404,12 @@ impl Engine {
                         push(
                             AuditCheck::Slab,
                             format!("slot {s} peer {} is not a ring member", slot.key),
+                        );
+                    }
+                    if slot.shard.is_none() {
+                        push(
+                            AuditCheck::Directory,
+                            format!("member {} has no attached shard", slot.key),
                         );
                     }
                 }
@@ -2499,7 +2470,7 @@ impl Engine {
             }
         }
 
-        // Ring links over locally hosted shards.
+        // Ring links.
         for (id, shard) in self.shards() {
             let (want_pred, want_succ) = (self.ring_pred(id), self.ring_succ(id));
             if want_pred != Some(&shard.peer.pred) {
@@ -2522,8 +2493,8 @@ impl Engine {
             }
         }
 
-        // PGCP trie invariants (Definition 1) over local shards.
-        for shard in self.local_shards() {
+        // PGCP trie invariants (Definition 1).
+        for shard in self.attached_shards() {
             for node in shard.nodes.values() {
                 for d in &node.data {
                     if d != &node.label {
@@ -2676,6 +2647,11 @@ impl Engine {
     /// counter block (`FaultStats::default()` on reliable transports).
     /// `snap.audit_violations` is reset to 0 — callers that also run
     /// [`Engine::audit`] stamp the count afterwards.
+    ///
+    /// # Panics
+    ///
+    /// If a member's shard is not attached, i.e. when called while a
+    /// parallel batch owns the shards.
     pub fn collect_health(
         &self,
         unit: u64,
@@ -2702,27 +2678,19 @@ impl Engine {
                 continue;
             };
             mon.scratch_rows[pid as usize] = snap.per_peer.len() as u32;
-            let (replicas, used, capacity, messages) =
-                match self.peers.get(pid).and_then(|s| s.shard.as_ref()) {
-                    Some(shard) => {
-                        let msgs = shard.nodes.values().map(|n| n.load).sum::<u64>()
-                            + shard.replicas.values().map(|n| n.load).sum::<u64>();
-                        (
-                            shard.replicas.len() as u32,
-                            shard.peer.used,
-                            shard.peer.capacity,
-                            msgs,
-                        )
-                    }
-                    None => (0, 0, u32::MAX, 0),
-                };
+            let shard = self
+                .peers
+                .get(pid)
+                .and_then(|s| s.shard.as_ref())
+                .expect("health is collected between batches, with every shard attached");
             snap.per_peer.push(PeerHealth {
                 peer: pid,
                 nodes: 0,
-                replicas,
-                used,
-                capacity,
-                messages,
+                replicas: shard.replicas.len() as u32,
+                used: shard.peer.used,
+                capacity: shard.peer.capacity,
+                messages: shard.nodes.values().map(|n| n.load).sum::<u64>()
+                    + shard.replicas.values().map(|n| n.load).sum::<u64>(),
                 slice: self
                     .pump_health
                     .slice_of
@@ -2742,11 +2710,10 @@ impl Engine {
         }
 
         // Depth occupancy by walking father links (no memo map — the
-        // tree is shallow and this avoids allocating). Empty when no
-        // shard is hosted locally (threaded router engine).
+        // tree is shallow and this avoids allocating).
         snap.depth_occupancy.clear();
         snap.max_depth = 0;
-        for shard in self.local_shards() {
+        for shard in self.attached_shards() {
             for node in shard.nodes.values() {
                 let mut d = 0usize;
                 let mut cur = node.father.as_ref();
@@ -2821,7 +2788,6 @@ impl Engine {
                 .saturating_sub(p.duplicates_suppressed),
             retries: faults.retries.saturating_sub(p.retries),
             requests_failed: faults.requests_failed.saturating_sub(p.requests_failed),
-            frames_exhausted: faults.frames_exhausted.saturating_sub(p.frames_exhausted),
         };
         mon.prev_faults = *faults;
 
@@ -2924,11 +2890,12 @@ mod tests {
             k("A"),
             PeerMsg::UpdateSuccessor { succ: k("B") },
         ));
-        t.broadcast(
-            [k("B"), k("C")]
-                .into_iter()
-                .map(|p| Envelope::to_peer(p, PeerMsg::UpdateSuccessor { succ: k("X") })),
-        );
+        for p in [k("B"), k("C")] {
+            t.deliver(Envelope::to_peer(
+                p,
+                PeerMsg::UpdateSuccessor { succ: k("X") },
+            ));
+        }
         let order: Vec<Address> = t.queue.iter().map(|(_, e)| e.to.clone()).collect();
         assert_eq!(
             order,
@@ -3216,10 +3183,25 @@ mod tests {
         let shard = e.remove_member(&k("P1")).expect("shard returned");
         assert_eq!(shard.peer.id, k("P1"));
         assert_eq!(e.peer_count(), 1);
-        // Remote membership: no shard, but a cache and a broadcast slot.
-        e.add_member(k("P9"));
-        assert!(e.contains_peer(&k("P9")));
-        assert!(e.shard(&k("P9")).is_none());
         assert!(e.remove_member(&k("P9")).is_none());
+    }
+
+    /// A member whose shard is not attached — the state a parallel
+    /// batch leaves while it owns the shards — is a directory
+    /// violation; re-attaching the shard clears it.
+    #[test]
+    fn audit_flags_a_member_without_an_attached_shard() {
+        let mut e = Engine::new(EngineConfig::default());
+        e.add_local_shard(k("P1"), 100);
+        assert!(e.audit().is_empty(), "{:?}", e.audit());
+        let lent = e.detach_shards();
+        let v = e.audit();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].check, AuditCheck::Directory);
+        assert!(v[0].detail.contains("no attached shard"), "{}", v[0].detail);
+        for (pid, shard) in lent {
+            e.attach_shard(pid, shard);
+        }
+        assert!(e.audit().is_empty());
     }
 }

@@ -18,8 +18,8 @@
 //!   interner itself (`Key → u32`, immutable for the batch) is read
 //!   through a shared reference.
 //! * Cross-slice envelopes travel through **bounded SPSC rings**
-//!   (`Ring`), one per ordered worker pair — hand-rolled, since the
-//!   vendored crossbeam subset only ships unbounded MPMC channels.
+//!   (`Ring`), one per ordered worker pair, hand-rolled on `std`
+//!   atomics (the workspace has no channel dependency).
 //! * There is **no round barrier**. Quiescence is agreed by
 //!   Chandy–Lamport-style *credits*: after draining epoch `e`, worker
 //!   `s` pushes every peer `r` a `Lane::Credit` carrying how many
@@ -119,9 +119,8 @@ pub struct ParallelPump {
 /// the constant is a throughput knob, not a correctness bound.
 const RING_CAP: usize = 1024;
 
-/// Hand-rolled cache-line padding (the vendored crossbeam subset has
-/// no `CachePadded`): keeps a ring's producer and consumer cursors on
-/// different lines so SPSC traffic never false-shares.
+/// Cache-line padding: keeps a ring's producer and consumer cursors
+/// on different lines so SPSC traffic never false-shares.
 #[repr(align(64))]
 #[derive(Default)]
 struct CachePadded<T>(T);
@@ -558,7 +557,7 @@ impl ParallelPump {
         engine: &mut Engine,
         requests: Vec<(Key, QueryKind)>,
     ) -> Result<Vec<LookupOutcome>> {
-        let n = self.workers.min(engine.local_shard_count().max(1));
+        let n = self.workers.min(engine.attached_shard_count().max(1));
         // Sequential prologue: register aggregation state and consult
         // the entry caches (identical flow to the sequential pump).
         let mut ids = Vec::with_capacity(requests.len());

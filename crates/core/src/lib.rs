@@ -27,8 +27,9 @@
 //!
 //! The protocol is written as message handlers over explicit state
 //! ([`messages`], [`node`], [`peer`]) so that the same code drives the
-//! synchronous in-process runtime used by the simulator and the
-//! threaded live runtime in `dlpt-net`.
+//! synchronous in-process runtime used by the simulator, the
+//! discrete-event latency simulator in `dlpt-net` and the
+//! shared-nothing parallel pump ([`engine::parallel`]).
 
 pub mod alphabet;
 pub mod balance;

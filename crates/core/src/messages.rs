@@ -4,8 +4,9 @@
 //! discovery traffic of Section 2. Every network interaction in the
 //! overlay is an [`Envelope`] — an address plus a [`Message`] — so the
 //! same handler code runs under the synchronous pump
-//! ([`crate::system::DlptSystem`]), the discrete-event simulator and
-//! the threaded live runtime (`dlpt-net`).
+//! ([`crate::system::DlptSystem`]), the discrete-event simulator
+//! (`dlpt-net`) and the shared-nothing parallel pump; `dlpt-net`'s
+//! codec puts envelopes on the wire.
 
 use crate::key::Key;
 use crate::node::NodeState;

@@ -9,8 +9,8 @@
 //! hosts. Protocol handlers receive exactly one `&mut PeerShard` —
 //! the type system thus guarantees a handler never reaches across the
 //! network, which is what makes the same handlers valid under the
-//! synchronous pump, the discrete-event simulator and the threaded
-//! runtime.
+//! synchronous pump, the discrete-event simulator and the parallel
+//! pump, whose workers each own a slice of the shards.
 
 use crate::key::Key;
 use crate::node::NodeState;

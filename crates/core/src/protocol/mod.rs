@@ -5,8 +5,8 @@
 //! payload, and communicates only by pushing [`Envelope`]s into
 //! [`Effects`]. The signature makes reaching across the network a type
 //! error, so the same handlers are valid under the synchronous pump
-//! ([`crate::system::DlptSystem`]), the discrete-event simulator and
-//! the threaded live runtime in `dlpt-net`.
+//! ([`crate::system::DlptSystem`]), the discrete-event simulator in
+//! `dlpt-net` and the shared-nothing parallel pump.
 //!
 //! | Paper | Module |
 //! |---|---|

@@ -20,13 +20,13 @@ use crate::engine::{
 };
 use crate::error::{DlptError, Result};
 use crate::key::Key;
-use crate::messages::{Address, Envelope, NodeMsg, QueryKind};
+use crate::messages::{Envelope, NodeMsg, QueryKind};
 use crate::node::NodeState;
 use crate::replication::AntiEntropyReport;
 use crate::transport::{FaultPlan, FaultStats, Faults, FaultyTransport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 pub use crate::engine::LookupOutcome;
 
@@ -183,7 +183,6 @@ pub struct DlptSystem {
     pump: FifoTransport,
     /// Fault-injection state ([`crate::transport`]); inert by default.
     faults: Faults,
-    debug_drain: bool,
 }
 
 impl std::ops::Deref for DlptSystem {
@@ -214,7 +213,6 @@ impl DlptSystem {
             engine,
             pump: FifoTransport::default(),
             faults: Faults::new(FaultPlan::default()),
-            debug_drain: std::env::var_os("DLPT_DEBUG_DRAIN").is_some(),
             config,
         }
     }
@@ -618,7 +616,7 @@ impl DlptSystem {
         //    root.
         let mut orphans: Vec<Key> = Vec::new();
         let mut root: Option<Key> = None;
-        for shard in self.engine.local_shards() {
+        for shard in self.engine.attached_shards() {
             for node in shard.nodes.values() {
                 match &node.father {
                     None => root = Some(node.label.clone()),
@@ -789,7 +787,7 @@ impl DlptSystem {
     fn recompute_root(&mut self) {
         let root = self
             .engine
-            .local_shards()
+            .attached_shards()
             .flat_map(|s| s.nodes.values())
             .find(|n| n.father.is_none())
             .map(|n| n.label.clone());
@@ -807,36 +805,13 @@ impl DlptSystem {
     /// Processes the queue to quiescence through the engine's
     /// dispatch.
     fn drain(&mut self) -> Result<()> {
-        let debug = self.debug_drain;
-        let mut trace: VecDeque<String> = VecDeque::new();
         let mut steps = 0usize;
         while let Some((requeues, env)) = self.pump.queue.pop_front() {
             steps += 1;
             if steps > self.config.drain_budget {
-                if debug {
-                    eprintln!("drain budget exhausted; trace of last dispatches:");
-                    for line in &trace {
-                        eprintln!("  {line}");
-                    }
-                    eprintln!("current: {env:?}");
-                    if let Address::Node(l) = &env.to {
-                        if let Some(n) = self.engine.node(l) {
-                            eprintln!("node state: {n:?}");
-                            if let Some(f) = &n.father {
-                                eprintln!("father state: {:?}", self.engine.node(f));
-                            }
-                        }
-                    }
-                }
                 return Err(DlptError::HopBudgetExhausted {
                     budget: self.config.drain_budget,
                 });
-            }
-            if debug {
-                trace.push_back(format!("{env:?}"));
-                if trace.len() > 30 {
-                    trace.pop_front();
-                }
             }
             let step = if self.faults.is_active() {
                 let mut t = FaultyTransport::new(&mut self.pump, &mut self.faults);

@@ -1,12 +1,12 @@
 //! Fault injection as a transport decorator.
 //!
 //! [`FaultyTransport`] wraps any [`Transport`] — the synchronous FIFO
-//! pump, the discrete-event latency queue or the threaded frame
-//! channels — and injects seeded, deterministic message loss,
-//! duplication, reordering and healable partitions according to a
-//! [`FaultPlan`]. Nothing in the engine or the runtimes knows whether
-//! the transport underneath them is faulty; they only gain the retry
-//! and idempotency machinery that faults make necessary.
+//! pump or the discrete-event latency queue — and injects seeded,
+//! deterministic message loss, duplication, reordering and healable
+//! partitions according to a [`FaultPlan`]. Nothing in the engine or
+//! the runtimes knows whether the transport underneath them is faulty;
+//! they only gain the retry and idempotency machinery that faults make
+//! necessary.
 //!
 //! Determinism rules (what keeps the golden fingerprint byte-identical
 //! when faults are off, and lossy runs reproducible when they are on):
@@ -85,9 +85,6 @@ pub struct FaultStats {
     pub retries: u64,
     /// Requests explicitly failed after exhausting their retry budget.
     pub requests_failed: u64,
-    /// Frames failed explicitly at a runtime's frame-retry budget
-    /// (previously a silent drop / process abort).
-    pub frames_exhausted: u64,
 }
 
 impl FaultStats {
@@ -100,7 +97,6 @@ impl FaultStats {
         self.duplicates_suppressed += other.duplicates_suppressed;
         self.retries += other.retries;
         self.requests_failed += other.requests_failed;
-        self.frames_exhausted += other.frames_exhausted;
     }
 }
 

@@ -7,10 +7,11 @@
 //! ```
 //!
 //! with keys as `u16le` length then digits, collections as `u32le`
-//! count then elements, and one tag byte per enum variant. The format is what
-//! the threaded runtime puts on its channels (and what a deployment
-//! would put on TCP); decoding is fully bounds-checked so a truncated
-//! or corrupt frame yields an error, never a panic.
+//! count then elements, and one tag byte per enum variant. The format is
+//! what a deployment would put on TCP; `tests/runtime_equivalence.rs`
+//! round-trips every hop of a full workload through it. Decoding is
+//! fully bounds-checked so a truncated or corrupt frame yields an
+//! error, never a panic.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dlpt_core::key::{Key, KEY_INLINE_CAP};

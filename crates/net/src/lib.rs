@@ -2,8 +2,8 @@
 //! # dlpt-net — transports for the DLPT protocol
 //!
 //! The protocol handlers in `dlpt-core::protocol` are pure functions
-//! over one peer shard; this crate supplies the runtimes that carry
-//! their envelopes:
+//! over one peer shard; this crate supplies what carries their
+//! envelopes outside the synchronous pump:
 //!
 //! * [`event`] — a deterministic discrete-event queue;
 //! * [`sim::LatencyNet`] — a message-level simulator that delivers
@@ -12,18 +12,16 @@
 //!   out-of-order messages — something the synchronous FIFO pump of
 //!   `DlptSystem` never does;
 //! * [`codec`] — a length-prefixed binary wire format for every
-//!   protocol message (what a deployment would put on TCP);
-//! * [`threaded::ThreadedDlpt`] — a live in-process runtime: every
-//!   peer is an OS thread, envelopes travel encoded over crossbeam
-//!   channels, and a router thread plays the role the delivery
-//!   directory plays in the simulator. This is the substitution for
-//!   the paper's never-evaluated Grid'5000 prototype (see DESIGN.md).
+//!   protocol message (what a deployment would put on TCP).
+//!   `tests/runtime_equivalence.rs` drives a full workload with every
+//!   hop encoded and decoded through it.
+//!
+//! Real concurrency lives in `dlpt_core::engine::parallel`, the
+//! shared-nothing pump, which is deterministic per `(seed, workers)`.
 
 pub mod codec;
 pub mod event;
 pub mod sim;
-pub mod threaded;
 
 pub use event::EventQueue;
 pub use sim::{LatencyModel, LatencyNet};
-pub use threaded::ThreadedDlpt;

@@ -35,8 +35,8 @@ pub use dlpt_core as core;
 /// Chord DHT substrate used by the random-mapping baseline and PHT
 /// ([`dlpt_dht`]).
 pub use dlpt_dht as dht;
-/// Transports: deterministic discrete-event simulation and the threaded
-/// live runtime ([`dlpt_net`]).
+/// Transports: deterministic discrete-event simulation and the wire
+/// codec ([`dlpt_net`]).
 pub use dlpt_net as net;
 /// The Section-4 discrete-time experiment harness ([`dlpt_sim`]).
 pub use dlpt_sim as sim;

@@ -1,11 +1,14 @@
 //! Cross-crate integration: the three runtimes (synchronous pump,
-//! latency simulator, threaded live network) must all build the same
-//! tree the sequential oracle predicts, and discovery must agree with
-//! it on every query kind.
+//! latency simulator, codec arm with every hop on the wire format)
+//! must all build the same tree the sequential oracle predicts, and
+//! discovery must agree with it on every query kind.
+
+mod support;
 
 use dlpt::core::{Alphabet, DlptSystem, Key, PgcpTrie};
-use dlpt::net::{LatencyModel, LatencyNet, ThreadedDlpt};
+use dlpt::net::{LatencyModel, LatencyNet};
 use dlpt::workloads::corpus::Corpus;
+use support::Framed;
 
 fn sample_corpus(n: usize) -> Vec<Key> {
     Corpus::grid().take_spread(n)
@@ -50,17 +53,24 @@ fn all_three_runtimes_converge_to_the_same_tree() {
         latency.insert_data(k.clone());
     }
 
-    let mut live = ThreadedDlpt::new(Alphabet::grid(), 8);
-    for _ in 0..8 {
-        live.add_peer();
+    let mut framed = Framed::new(8);
+    {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(78);
+        while framed.engine.peer_count() < 8 {
+            let id: Key = alphabet.random_id(&mut rng, 12);
+            if !framed.engine.contains_peer(&id) {
+                framed.add_peer(id);
+            }
+        }
     }
     for k in &keys {
-        live.insert_data(k.clone());
+        framed.insert_data(k.clone());
     }
 
     assert_eq!(sys.node_labels(), latency.node_labels());
-    assert_eq!(sys.node_labels(), live.node_labels());
-    live.shutdown();
+    assert_eq!(sys.node_labels(), framed.engine.node_labels());
+    framed.engine.check_tree().unwrap();
 }
 
 #[test]

@@ -1,20 +1,25 @@
-//! Runtime-equivalence property: the unified engine means the three
-//! runtimes — the synchronous pump, the (zero-latency) discrete-event
-//! `LatencyNet` and the threaded `ThreadedDlpt` — are *the same
-//! protocol* under different transports. Driving one seeded workload
-//! (joins, registrations, discoveries of every kind, removals, crashes
-//! under `k = 2` replication, cache on/off) through all three must
-//! yield identical node placements and identical discovery result
-//! sets.
+//! Runtime-equivalence property: the unified engine means the
+//! synchronous pump, the (zero-latency) discrete-event `LatencyNet`
+//! and the codec arm `Framed` (every hop encoded to a wire frame and
+//! decoded again, see `support`) are *the same protocol* under
+//! different transports. Driving one seeded workload (joins,
+//! registrations, discoveries of every kind, removals, crashes under
+//! `k = 2` replication, cache on/off) through all three must yield
+//! identical node placements and identical discovery result sets. The
+//! shared-nothing parallel pump joins through its own arm below.
 //!
 //! What may legitimately differ: message/hop counts (transports
 //! schedule differently) and anything capacity-related (only the sync
 //! pump charges capacity — kept unbounded here).
 
-use dlpt::core::{Alphabet, DlptSystem, FaultPlan, Key, QueryKind, Violation};
-use dlpt::net::{LatencyModel, LatencyNet, ThreadedDlpt};
+mod support;
+
+use dlpt::core::messages::NodeMsg;
+use dlpt::core::{DlptSystem, Envelope, FaultPlan, Key, QueryKind, Violation};
+use dlpt::net::{LatencyModel, LatencyNet};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use support::Framed;
 
 const KEY_POOL: [&str; 16] = [
     "DGEMM", "DGEMV", "DTRSM", "DTRMM", "SGEMM", "SGEMV", "S3L_fft", "S3L_sort", "S3L_mat",
@@ -83,12 +88,17 @@ trait Runtime {
     fn anti_entropy(&mut self);
     fn peers(&self) -> Vec<Key>;
     fn placements(&self) -> BTreeMap<Key, Key>;
-    fn set_faults(&mut self, plan: FaultPlan);
-    fn partition(&mut self, lo: Key, hi: Key);
-    fn heal(&mut self);
     /// Runs the engine's invariant auditor
     /// (directory↔slab↔trie↔replication cross-consistency).
     fn audit(&self) -> Vec<Violation>;
+}
+
+/// A runtime with a fault-injection layer (the lossy and partition
+/// arms).
+trait Faulty: Runtime {
+    fn set_faults(&mut self, plan: FaultPlan);
+    fn partition(&mut self, lo: Key, hi: Key);
+    fn heal(&mut self);
 }
 
 struct Sync(DlptSystem);
@@ -134,6 +144,11 @@ impl Runtime for Sync {
             .map(|(l, h)| (l.clone(), h.clone()))
             .collect()
     }
+    fn audit(&self) -> Vec<Violation> {
+        self.0.audit()
+    }
+}
+impl Faulty for Sync {
     fn set_faults(&mut self, plan: FaultPlan) {
         self.0.set_fault_plan(plan);
     }
@@ -142,9 +157,6 @@ impl Runtime for Sync {
     }
     fn heal(&mut self) {
         self.0.heal_partition();
-    }
-    fn audit(&self) -> Vec<Violation> {
-        self.0.audit()
     }
 }
 
@@ -190,6 +202,11 @@ impl Runtime for Latency {
             .map(|(l, h)| (l.clone(), h.clone()))
             .collect()
     }
+    fn audit(&self) -> Vec<Violation> {
+        self.0.audit()
+    }
+}
+impl Faulty for Latency {
     fn set_faults(&mut self, plan: FaultPlan) {
         self.0.set_fault_plan(plan);
     }
@@ -199,64 +216,60 @@ impl Runtime for Latency {
     fn heal(&mut self) {
         self.0.heal_partition();
     }
-    fn audit(&self) -> Vec<Violation> {
-        self.0.audit()
-    }
 }
 
-struct Threaded(ThreadedDlpt);
-impl Runtime for Threaded {
+/// The codec arm: the workload's operations over the engine's public
+/// API, every envelope crossing `codec::encode`/`decode` (see
+/// `support`).
+impl Runtime for Framed {
     fn join(&mut self, id: Key) {
-        self.0.add_peer_with_id(id);
+        self.add_peer(id);
     }
     fn insert(&mut self, key: Key) {
-        self.0.insert_data(key);
+        self.insert_data(key);
     }
     fn remove(&mut self, key: &Key) {
-        self.0.remove_data(key);
-    }
-    fn query(&mut self, op: &Op) -> (bool, Vec<Key>) {
-        match op {
-            Op::Lookup(i) => self.0.lookup(&key(*i)),
-            Op::Complete(i) => {
-                let k = key(*i);
-                self.0.complete(&k.truncated(2.min(k.len())))
-            }
-            Op::Range(a, b) => {
-                let (lo, hi) = ordered(*a, *b);
-                self.0.range(&lo, &hi)
-            }
-            _ => unreachable!(),
+        if let Some(entry) = self.engine.random_node(&mut self.rng) {
+            self.send(Envelope::to_node(
+                entry,
+                NodeMsg::DataRemoval { key: key.clone() },
+            ));
         }
     }
+    fn query(&mut self, op: &Op) -> (bool, Vec<Key>) {
+        let query = query_of(op).expect("a query op");
+        let Some(entry) = self.engine.random_node(&mut self.rng) else {
+            return (false, Vec::new());
+        };
+        let (id, env) = self
+            .engine
+            .begin_request(&entry, query)
+            .expect("entry is a live node");
+        self.send(env);
+        let out = self.engine.finish_request(id);
+        (out.satisfied, out.results)
+    }
     fn crash(&mut self, id: &Key) {
-        let lost = self.0.crash_peer(id);
+        let lost = self.engine.crash_shard(id).unwrap();
         assert!(lost.is_empty(), "k=2 + fresh anti-entropy: {lost:?}");
     }
     fn anti_entropy(&mut self) {
-        self.0.anti_entropy();
+        if self.engine.anti_entropy_kick(&mut self.frames) {
+            self.drain();
+        }
     }
     fn peers(&self) -> Vec<Key> {
-        self.0.peer_ids()
+        self.engine.peer_ids()
     }
     fn placements(&self) -> BTreeMap<Key, Key> {
-        self.0
+        self.engine
             .directory()
             .iter()
             .map(|(l, h)| (l.clone(), h.clone()))
             .collect()
     }
-    fn set_faults(&mut self, plan: FaultPlan) {
-        self.0.set_fault_plan(plan);
-    }
-    fn partition(&mut self, lo: Key, hi: Key) {
-        self.0.partition(lo, hi);
-    }
-    fn heal(&mut self) {
-        self.0.heal_partition();
-    }
     fn audit(&self) -> Vec<Violation> {
-        self.0.audit()
+        self.engine.audit()
     }
 }
 
@@ -311,8 +324,8 @@ fn drive<R: Runtime>(rt: &mut R, ops: &[Op], initial_peers: usize, k: usize) -> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The headline satellite: one workload, three runtimes, identical
-    /// placements and result sets — replication and caching included.
+    /// One workload, three runtimes, identical placements and result
+    /// sets — replication and caching included.
     #[test]
     fn three_runtimes_agree_on_placements_and_results(
         ops in proptest::collection::vec(op(), 4..28),
@@ -345,18 +358,18 @@ proptest! {
         let audit = latency.audit();
         prop_assert!(audit.is_empty(), "latency audits clean: {:?}", audit);
 
-        let mut threaded = Threaded(ThreadedDlpt::new(Alphabet::grid(), seed ^ 0x7eed));
-        threaded.0.set_replication(k);
-        threaded.0.set_cache_capacity(cache);
-        let c = drive(&mut threaded, &ops, initial_peers, k);
-        let audit = threaded.audit();
-        prop_assert!(audit.is_empty(), "threaded audits clean: {:?}", audit);
+        let mut framed = Framed::new(seed ^ 0x7eed);
+        framed.engine.set_replication(k);
+        framed.engine.set_cache_capacity(cache);
+        let c = drive(&mut framed, &ops, initial_peers, k);
+        framed.engine.check_tree().unwrap();
+        let audit = framed.audit();
+        prop_assert!(audit.is_empty(), "framed audits clean: {:?}", audit);
 
         prop_assert_eq!(&a.placements, &b.placements, "sync vs latency placements");
-        prop_assert_eq!(&a.placements, &c.placements, "sync vs threaded placements");
+        prop_assert_eq!(&a.placements, &c.placements, "sync vs framed placements");
         prop_assert_eq!(&a.results, &b.results, "sync vs latency results");
-        prop_assert_eq!(&a.results, &c.results, "sync vs threaded results");
-        threaded.0.shutdown();
+        prop_assert_eq!(&a.results, &c.results, "sync vs framed results");
     }
 }
 
@@ -388,8 +401,8 @@ fn query_of(o: &Op) -> Option<QueryKind> {
 /// The mid-workload churn exercises the ownership-handoff path twice:
 /// a node is migrated off its canonical host (an explicit
 /// `Directory::handoff`), the next batches run against the handed-off
-/// placement, and the node is later handed back so the final audit
-/// sees the canonical mapping.
+/// placement, and the node is later handed to its mapping-rule host so
+/// the final audit sees the canonical mapping.
 fn drive_batched(
     sys: &mut DlptSystem,
     ops: &[Op],
@@ -432,7 +445,7 @@ fn drive_batched(
     let mut next_peer = initial_peers;
     let mut results = Vec::new();
     let mut batch: Vec<QueryKind> = Vec::new();
-    let mut undo_migration: Option<(Key, Key)> = None;
+    let mut migrated: Option<Key> = None;
     let mid = ops.len() / 2;
     for (at, o) in ops.iter().enumerate() {
         if at == mid {
@@ -447,7 +460,7 @@ fn drive_batched(
             if let Some((label, home)) = moved {
                 if let Some(to) = sys.peer_ids().into_iter().rev().find(|p| *p != home) {
                     sys.migrate_node(&label, &to).unwrap();
-                    undo_migration = Some((label, home));
+                    migrated = Some(label);
                 }
             }
         }
@@ -479,12 +492,18 @@ fn drive_batched(
         }
     }
     flush(sys, workers, &mut batch, &mut results);
-    // Hand the migrated node back so the final audit sees the
-    // canonical mapping (the node may have moved again via crash
-    // promotion or been deregistered — both make the undo moot).
-    if let Some((label, home)) = undo_migration {
-        if sys.directory().iter().any(|(l, _)| *l == label) && sys.peer_ids().contains(&home) {
-            sys.migrate_node(&label, &home).unwrap();
+    // Hand the migrated node to its mapping-rule host so the final
+    // audit sees the canonical mapping. That host is not necessarily
+    // the one it left: a crash may have removed that peer, or a join
+    // may have slid in ahead of the label. A deregistered node needs
+    // no undo.
+    if let Some(label) = migrated {
+        let host = sys.host_of(&label).cloned();
+        let rule = sys.host_peer(&label).cloned();
+        if let (Some(host), Some(rule)) = (host, rule) {
+            if host != rule {
+                sys.migrate_node(&label, &rule).unwrap();
+            }
         }
     }
     flush(sys, workers, &mut batch, &mut results);
@@ -498,45 +517,67 @@ fn drive_batched(
     }
 }
 
+/// Shared-nothing pump arm: the same seeded workload — k = 2
+/// crashes, route caches on, a mid-workload `migrate_node` ownership
+/// handoff — driven through the sequential pump and through
+/// `discover_batch` at workers ∈ {1, 2, 8} must agree on placements
+/// and result sets, and every arm must audit clean.
+fn parallel_workers_agree(ops: &[Op], seed: u64, initial_peers: usize) {
+    let build = || {
+        DlptSystem::builder()
+            .seed(seed)
+            .peer_id_len(8)
+            .replication(2)
+            .cache_capacity(32)
+            .build()
+    };
+    let mut reference = build();
+    let expect = drive_batched(&mut reference, ops, initial_peers, None);
+    reference.check_tree().unwrap();
+    let audit = reference.audit();
+    assert!(audit.is_empty(), "sequential audits clean: {audit:?}");
+
+    for w in [1usize, 2, 8] {
+        let mut sys = build();
+        let got = drive_batched(&mut sys, ops, initial_peers, Some(w));
+        sys.check_tree().unwrap();
+        let audit = sys.audit();
+        assert!(audit.is_empty(), "workers={w} audits clean: {audit:?}");
+        assert_eq!(expect.placements, got.placements, "workers={w} placements");
+        assert_eq!(expect.results, got.results, "workers={w} results");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Shared-nothing pump arm: the same seeded workload — k = 2
-    /// crashes, route caches on, a mid-workload `migrate_node`
-    /// ownership handoff — driven through the sequential pump and
-    /// through `discover_batch` at workers ∈ {1, 2, 8} must agree on
-    /// placements and result sets, and every arm must audit clean.
     #[test]
     fn parallel_worker_counts_agree_with_the_sequential_pump(
         ops in proptest::collection::vec(op(), 4..24),
         seed in 0u64..200,
         initial_peers in 4usize..6,
     ) {
-        let build = || {
-            DlptSystem::builder()
-                .seed(seed)
-                .peer_id_len(8)
-                .replication(2)
-                .cache_capacity(32)
-                .build()
-        };
-        let mut reference = build();
-        let expect = drive_batched(&mut reference, &ops, initial_peers, None);
-        reference.check_tree().unwrap();
-        let audit = reference.audit();
-        prop_assert!(audit.is_empty(), "sequential audits clean: {:?}", audit);
-
-        for w in [1usize, 2, 8] {
-            let mut sys = build();
-            let got = drive_batched(&mut sys, &ops, initial_peers, Some(w));
-            sys.check_tree().unwrap();
-            let audit = sys.audit();
-            prop_assert!(audit.is_empty(), "workers={} audits clean: {:?}", w, audit);
-            prop_assert_eq!(&expect.placements, &got.placements,
-                "workers={} placements", w);
-            prop_assert_eq!(&expect.results, &got.results, "workers={} results", w);
-        }
+        parallel_workers_agree(&ops, seed, initial_peers);
     }
+}
+
+/// The mid-workload migration moves `D` from P000X to P003X and
+/// `Crash(36)` then kills P000X: the undo must hand `D` to its current
+/// mapping-rule host (P001X), since its original host is gone, or the
+/// sequential arm's audit reports a `Mapping` violation.
+#[test]
+fn migration_undo_follows_the_mapping_rule_after_the_home_peer_crashes() {
+    use Op::*;
+    let ops = [
+        Lookup(98),
+        Lookup(203),
+        Lookup(185),
+        Complete(93),
+        Crash(36),
+        Insert(241),
+        Remove(87),
+    ];
+    parallel_workers_agree(&ops, 156, 4);
 }
 
 /// Number of queries in an op sequence — the result count `drive` must
@@ -551,11 +592,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The lossy arm: the same workloads under 10% message loss, 5%
-    /// duplication and 5% reordering. The fault RNG streams differ per
-    /// transport, so the runtimes need not agree on results — the
-    /// property is *termination*: every drive returns, every query
-    /// resolves (satisfied or explicitly failed, never hung), and the
-    /// seeded sync run reproduces itself exactly.
+    /// duplication and 5% reordering, on the two runtimes with a fault
+    /// layer (the sync pump and `LatencyNet`). The fault RNG streams
+    /// differ per transport, so the runtimes need not agree on results
+    /// — the property is *termination*: every drive returns, every
+    /// query resolves (satisfied or explicitly failed, never hung), and
+    /// the seeded sync run reproduces itself exactly.
     #[test]
     fn lossy_workloads_terminate_on_all_three_runtimes(
         ops in proptest::collection::vec(op(), 4..28),
@@ -592,19 +634,10 @@ proptest! {
         let b_audit = latency.audit();
         prop_assert!(b_audit.is_empty(), "latency audits clean after quiescence: {:?}", b_audit);
 
-        let mut threaded = Threaded(ThreadedDlpt::new(Alphabet::grid(), seed ^ 0x7eed));
-        threaded.set_faults(plan(seed ^ 0x20));
-        let c = drive(&mut threaded, &ops, initial_peers, 1);
-        prop_assert_eq!(c.results.len(), expected, "threaded: every query terminates");
-        let c_audit = threaded.audit();
-        prop_assert!(c_audit.is_empty(), "threaded audits clean after quiescence: {:?}", c_audit);
-
         // Mutations and joins travel the reliable class, so the tree
         // the runtimes build is unaffected by the fault plan.
         prop_assert_eq!(&a.placements, &b.placements, "faults never touch placements");
-        prop_assert_eq!(&a.placements, &c.placements, "faults never touch placements");
         let _ = a_stats;
-        threaded.0.shutdown();
     }
 }
 
@@ -612,7 +645,7 @@ proptest! {
 /// a key range, observe routed requests resolving (never hanging),
 /// heal, and require k = 2 + anti-entropy to converge back to fully
 /// correct lookups — including across a post-heal crash.
-fn drive_partition_scenario<R: Runtime>(rt: &mut R, name: &str) {
+fn drive_partition_scenario<R: Faulty>(rt: &mut R, name: &str) {
     for i in 0..5 {
         rt.join(peer_id(i));
     }
@@ -671,9 +704,4 @@ fn partition_heals_and_k2_ae_converges_on_all_three_runtimes() {
     latency.0.set_replication(2);
     drive_partition_scenario(&mut latency, "latency");
     latency.0.check_tree().unwrap();
-
-    let mut threaded = Threaded(ThreadedDlpt::new(Alphabet::grid(), 13));
-    threaded.0.set_replication(2);
-    drive_partition_scenario(&mut threaded, "threaded");
-    threaded.0.shutdown();
 }
