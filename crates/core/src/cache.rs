@@ -498,7 +498,7 @@ pub fn learned_shortcut(directory: &Directory, target: &Key) -> Option<Shortcut>
 /// The envelope a validated shortcut turns a request into: the query
 /// delivered straight to the covering node `label` in `Down` phase,
 /// path empty (the target visit appends itself; hop accounting then
-/// shows the one-hop route). Shared by all three runtimes so the
+/// shows the one-hop route). Shared by every runtime so the
 /// cached route's shape cannot drift between them.
 pub fn shortcut_envelope(request_id: u64, query: QueryKind, label: Key) -> Envelope {
     Envelope::to_node(

@@ -10,22 +10,26 @@
 //!
 //! | Runtime | Transport | Delivery |
 //! |---|---|---|
-//! | [`crate::system::DlptSystem`] | [`FifoTransport`] | immediate FIFO |
-//! | `dlpt-net::sim::LatencyNet` | latency event queue | sampled delay |
+//! | [`crate::system::DlptSystem`] | [`crate::event::EventQueue`] + [`crate::event::LatencyModel`] | zero delay = FIFO; sampled delay otherwise |
 //! | [`parallel::ParallelPump`] | per-slice SPSC rings | credit-based quiescence |
 //!
-//! Every runtime is deterministic per `(seed, workers)`. A transport
-//! only queues envelopes; it never interprets them. The engine in
-//! turn never schedules — it reports `Requeue` when a destination is
-//! still in flight and lets the runtime decide whether to retry now
-//! (FIFO) or one tick later (latency queue).
+//! `dlpt-net::sim::LatencyNet` is `DlptSystem` with a non-zero delay
+//! policy, not a runtime of its own. Both runtimes are deterministic
+//! per `(seed, workers)`. A transport only queues envelopes; it never
+//! interprets them. The engine in turn never schedules — it reports
+//! `Requeue` when a destination is still in flight and lets the
+//! runtime decide when to retry.
 //!
-//! Behavioural knobs that used to be implicit in which runtime you
-//! picked are explicit [`EngineConfig`] flags: the Section-4 capacity
-//! model (`charge_capacity`), eager replica maintenance
-//! (`eager_replication`) and whether request aggregation may finalize
-//! mid-drain or only at quiescence (`judge_at_quiescence`, required
-//! when responses can arrive out of order).
+//! The protocol rules are the same whatever the runtime: every
+//! discovery visit charges the hosting peer's capacity (Section 4's
+//! model; runtimes that do not study capacity give peers
+//! `u32::MAX >> 1`), replicas are maintained eagerly iff the
+//! replication factor exceeds 1, and a request is judged only once the
+//! transport has drained ([`Engine::finish_request`]), because
+//! out-of-order responses can transiently zero its outstanding-branch
+//! counter. [`EngineConfig`] therefore holds only the two sizes a
+//! deployment chooses: the replication factor and the route-cache
+//! capacity.
 
 pub mod parallel;
 #[cfg(test)]
@@ -65,16 +69,11 @@ pub trait Transport {
     /// Queues one envelope for delivery.
     fn deliver(&mut self, env: Envelope);
 
-    /// The transport's logical clock (0 for untimed FIFO transports).
-    fn now(&self) -> u64 {
-        0
-    }
-
     /// Whether queuing through this transport is immediate FIFO work
     /// the engine may equivalently run inline ("hop chaining", see
-    /// [`Engine::deliver`]). Only the synchronous [`FifoTransport`]
-    /// says yes: modelled-latency, fault-injecting and batched
-    /// transports must observe every individual hop.
+    /// [`Engine::deliver`]). Only zero-delay FIFO queues say yes:
+    /// modelled-latency, fault-injecting and batched transports must
+    /// observe every individual hop.
     fn synchronous(&self) -> bool {
         false
     }
@@ -89,18 +88,17 @@ impl<T: Transport> Transport for &mut T {
         (**self).deliver(env);
     }
 
-    fn now(&self) -> u64 {
-        (**self).now()
-    }
-
     fn synchronous(&self) -> bool {
         (**self).synchronous()
     }
 }
 
-/// The immediate-FIFO transport of the synchronous pump: envelopes are
+/// A bare immediate-FIFO transport for callers that drive
+/// [`Engine::deliver`] themselves (benchmarks, tests): envelopes are
 /// appended to one queue and processed strictly in order. The `u32` is
-/// the per-envelope requeue count, owned by the pump's retry policy.
+/// the per-envelope requeue count, owned by the caller's retry policy.
+/// [`crate::system::DlptSystem`] schedules through its
+/// [`crate::event::EventQueue`] instead.
 #[derive(Debug, Default)]
 pub struct FifoTransport {
     /// The pending envelopes, front = next to deliver.
@@ -117,33 +115,21 @@ impl Transport for FifoTransport {
     }
 }
 
-/// Behavioural configuration of an [`Engine`].
+/// Configuration of an [`Engine`]: the two sizes a deployment
+/// chooses. Everything else is one protocol rule for every runtime
+/// (see the module docs).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Replication factor `k`: each tree node lives on its primary
     /// (mapping-rule) host plus `k - 1` ring-successor followers
-    /// (`protocol::repair`). `1` disables replication entirely.
+    /// (`protocol::repair`). `1` disables replication entirely; `k > 1`
+    /// also switches on eager replica maintenance — mutations record
+    /// the labels they touch and [`Engine::flush_replication`]
+    /// re-clones them.
     pub replication: usize,
     /// Per-peer routing-shortcut cache capacity ([`crate::cache`]);
     /// `0` disables caching entirely.
     pub cache_capacity: usize,
-    /// Model Section 4's per-unit peer capacity: every discovery visit
-    /// charges the hosting peer and exhausted peers ignore visits.
-    /// The asynchronous runtimes leave this off — capacity is an
-    /// experiment-harness concern there.
-    pub charge_capacity: bool,
-    /// Judge request completion only once the network is quiescent.
-    /// Required when responses can arrive out of order (the latency
-    /// queue): the outstanding-branch counter can transiently touch
-    /// zero while a parent's response is still in flight. The
-    /// synchronous pump finalizes eagerly instead (FIFO order makes
-    /// the transient impossible).
-    pub judge_at_quiescence: bool,
-    /// Maintain replicas eagerly after every mutation
-    /// ([`Engine::flush_replication`]); the asynchronous runtimes rely
-    /// on periodic anti-entropy alone and keep this off, so the
-    /// touched-label bookkeeping stays empty there.
-    pub eager_replication: bool,
 }
 
 impl Default for EngineConfig {
@@ -151,9 +137,6 @@ impl Default for EngineConfig {
         EngineConfig {
             replication: 1,
             cache_capacity: 0,
-            charge_capacity: false,
-            judge_at_quiescence: false,
-            eager_replication: false,
         }
     }
 }
@@ -322,10 +305,6 @@ impl GatherPool {
     fn get_mut(&mut self, id: u64) -> Option<&mut GatherAgg> {
         let &i = self.index.get(&id)?;
         Some(&mut self.slots[i as usize])
-    }
-
-    fn contains(&self, id: u64) -> bool {
-        self.index.contains_key(&id)
     }
 
     #[cfg(test)]
@@ -512,7 +491,6 @@ pub struct Engine {
     pub(crate) directory: Directory,
     /// In-flight request aggregation, pooled by request id.
     gathers: GatherPool,
-    finished: FxHashMap<u64, LookupOutcome>,
     /// Request id → `(target, entry host id)` to teach after a
     /// satisfied exact query.
     learn: FxHashMap<u64, (Key, u32)>,
@@ -598,7 +576,6 @@ impl Engine {
             members: BTreeSet::new(),
             directory: Directory::new(),
             gathers: GatherPool::default(),
-            finished: FxHashMap::default(),
             learn: FxHashMap::default(),
             subscriptions: Subscriptions::default(),
             next_request: 1,
@@ -647,15 +624,6 @@ impl Engine {
     /// Reconfigures the replication factor `k` (clamped to ≥ 1).
     pub fn set_replication(&mut self, k: usize) {
         self.config.replication = k.max(1);
-    }
-
-    /// Switches between eager and quiescence-time request finalization
-    /// (see [`EngineConfig::judge_at_quiescence`]). The synchronous
-    /// pump flips this on while a reordering fault plan is active:
-    /// deferred responses break the FIFO parent-before-child ordering
-    /// its eager judging relies on.
-    pub fn set_judge_at_quiescence(&mut self, on: bool) {
-        self.config.judge_at_quiescence = on;
     }
 
     /// Tells the engine whether the transport can lose or duplicate
@@ -982,8 +950,8 @@ impl Engine {
     /// to the covering node in `Down` phase; a stale hit is evicted and
     /// the request falls back to the normal up/down route, so results
     /// never depend on cache freshness. Satisfied exact queries teach
-    /// the entry peer a fresh shortcut at completion
-    /// ([`Engine::take_finished`] / [`Engine::finish_request`]).
+    /// the entry peer a fresh shortcut when the request is judged
+    /// ([`Engine::finish_request`]).
     pub fn begin_request(&mut self, entry: &Key, query: QueryKind) -> Result<(u64, Envelope)> {
         let Some((lid, hid)) = self.directory.resolve(entry) else {
             return Err(DlptError::UnknownNode(entry.to_string()));
@@ -1043,12 +1011,11 @@ impl Engine {
         self.gathers.get(id)?.retry.clone()
     }
 
-    /// Feeds one `ClientResponse` into the request's aggregation. With
-    /// eager judging (the synchronous pump) the request finalizes into
-    /// the finished set the moment no branch is outstanding; at
-    /// quiescence judging the runtime calls
-    /// [`Engine::finish_request`] once drained. Responses for already
-    /// finalized (or unknown) requests are dropped as stale.
+    /// Feeds one `ClientResponse` into the request's aggregation. The
+    /// runtime judges the request with [`Engine::finish_request`] once
+    /// drained, so every response of the request — duplicates
+    /// included — reaches the aggregation first. Responses for already
+    /// judged (or unknown) requests are dropped as stale.
     pub(crate) fn client_response(&mut self, outcome: DiscoveryOutcome) {
         let fault_recovery = self.fault_recovery;
         let Some(agg) = self.gathers.get_mut(outcome.request_id) else {
@@ -1105,22 +1072,11 @@ impl Engine {
         if outcome.path.len() > agg.best_path.len() {
             agg.best_path = outcome.path;
         }
-        if !self.config.judge_at_quiescence && agg.outstanding <= 0 {
-            let fin = self
-                .gathers
-                .release(outcome.request_id)
-                .expect("present above");
-            let satisfied = fin.satisfied && !fin.dropped;
-            let attempts = fin.attempts;
-            let out = self.assemble_outcome(fin, satisfied);
-            self.record_finished(outcome.request_id, &out, attempts);
-            self.finished.insert(outcome.request_id, out);
-        }
     }
 
-    /// Feeds a finalized request into the metrics registry and emits
-    /// its terminal trace event. Called exactly once per request, at
-    /// eager finalization or at [`Engine::finish_request`].
+    /// Feeds a judged request into the metrics registry and emits its
+    /// terminal trace event. Called exactly once per request, by
+    /// [`Engine::finish_request`].
     fn record_finished(&mut self, id: u64, out: &LookupOutcome, attempts: u32) {
         let hops = out.logical_hops() as u64;
         let ticks = (out.path.len() + out.gather_visits) as u64;
@@ -1167,24 +1123,15 @@ impl Engine {
         }
     }
 
-    /// Takes the finalized outcome of request `id` (eager judging),
-    /// applying the shortcut-learning intent when the outcome is
-    /// satisfied. `None` when the request has not finalized.
+    /// Judges request `id` now if no branch is outstanding (see
+    /// [`Engine::finish_request`]); `None`, leaving the request
+    /// registered, while a branch is still out. Call it only once the
+    /// transport has drained.
     pub fn take_finished(&mut self, id: u64) -> Option<LookupOutcome> {
-        // Not finalized: leave the learn intent in place — a
-        // quiescence-judging caller resolves it via `finish_request`.
-        let out = self.finished.remove(&id)?;
-        if self.learn.is_empty() {
-            return Some(out);
+        match self.gathers.get(id) {
+            Some(agg) if agg.outstanding <= 0 => Some(self.finish_request(id)),
+            _ => None,
         }
-        if let Some((target, host)) = self.learn.remove(&id) {
-            if out.satisfied {
-                // A satisfied exact query proves the target's own node
-                // is live and owns the key: that node is the shortcut.
-                self.learn_shortcut(target, host);
-            }
-        }
-        Some(out)
     }
 
     /// Judges and removes request `id` at quiescence: a request is
@@ -1192,7 +1139,9 @@ impl Engine {
     /// dropped, and no branch is still outstanding (the
     /// outstanding-branch counter can transiently touch zero while
     /// responses are in flight, so this must only be called once the
-    /// transport is drained). Applies the shortcut-learning intent.
+    /// transport is drained). A satisfied exact query teaches its entry
+    /// peer the shortcut: it proves the target's own node is live and
+    /// owns the key.
     pub fn finish_request(&mut self, id: u64) -> LookupOutcome {
         let fin = self.gathers.release(id).expect("request was registered");
         let satisfied = fin.satisfied && !fin.dropped && fin.outstanding <= 0;
@@ -1412,7 +1361,6 @@ impl Engine {
                     Dropped(DiscoveryMsg),
                 }
                 let stats = &mut self.stats;
-                let charge = self.config.charge_capacity;
                 let gate = match self.peers.get_mut(hid).and_then(|s| s.shard.as_mut()) {
                     None => Gate::Requeue(msg),
                     Some(shard) => match msg {
@@ -1424,14 +1372,12 @@ impl Engine {
                         // balancing matter (Section 3.3) — so every
                         // visit charges the hosting peer one unit and
                         // counts toward the node's offered load l_n.
-                        // The asynchronous runtimes leave capacity to
-                        // the experiment harness and skip the charge.
                         Message::Node(NodeMsg::Discovery(m)) => {
                             let exact = matches!(m.query, QueryKind::Exact(_));
                             // Two register moves, captured before the
                             // visit takes ownership of the message.
                             let (req, hops) = (m.request_id, m.path.len());
-                            match discovery::deliver_visit(shard, &label, m, charge, fx) {
+                            match discovery::deliver_visit(shard, &label, m, fx) {
                                 // In flight between shards (hand-off
                                 // under way): try later.
                                 discovery::VisitGate::Missing(m) => {
@@ -1533,7 +1479,7 @@ impl Engine {
                         Ok(ChainStep::Step(Step::Done))
                     }
                     Gate::DeliveredMutation => {
-                        if self.config.eager_replication && self.config.replication > 1 {
+                        if self.config.replication > 1 {
                             self.touched.push(lid);
                         }
                         // Any non-discovery node message may have
@@ -1581,7 +1527,7 @@ impl Engine {
     /// invalidation and clear a dissolved root, outgoing envelopes
     /// enter `t`.
     pub(crate) fn apply<T: Transport>(&mut self, fx: &mut Effects, t: &mut T) {
-        let eager = self.config.eager_replication && self.config.replication > 1;
+        let eager = self.config.replication > 1;
         for (label, host) in fx.relocated.drain(..) {
             let lid = self.directory.insert(label, host);
             if eager {
@@ -1614,9 +1560,9 @@ impl Engine {
     }
 
     /// Records that `label`'s state changed and its replicas are stale
-    /// (no-op unless eagerly replicating).
+    /// (no-op at `k = 1`).
     pub(crate) fn mark_touched(&mut self, label: &Key) {
-        if self.config.eager_replication && self.config.replication > 1 {
+        if self.config.replication > 1 {
             let lid = self.directory.intern(label);
             self.touched.push(lid);
         }
@@ -1660,11 +1606,10 @@ impl Engine {
 
     /// Eager replica maintenance: re-clones every node touched since
     /// the last flush onto its `k - 1` ring successors and
-    /// garbage-collects copies of dissolved nodes. The synchronous
-    /// pump calls this (then drains) after every public mutating
-    /// operation, so replica state tracks the data plane without
-    /// waiting for the next anti-entropy pass. No-op at `k = 1` or
-    /// without eager replication.
+    /// garbage-collects copies of dissolved nodes. Runtimes call this
+    /// (then drain) after every public mutating operation, so replica
+    /// state tracks the data plane without waiting for the next
+    /// anti-entropy pass. No-op at `k = 1`.
     pub fn flush_replication<T: Transport>(&mut self, t: &mut T) {
         if self.config.replication <= 1
             || (self.touched.is_empty() && self.dropped_replicas.is_empty())
@@ -1790,11 +1735,10 @@ impl Engine {
             }
         }
         report.replicas_dropped = drops.len();
-        // Converged pass: under eager maintenance the flush keeps copy
-        // *content* fresh, so when every label has its full live
-        // follower set and nothing needs GC the blanket re-clone would
-        // be pure steady-state traffic — skip it. (Runtimes without
-        // the eager path always re-clone: `anti_entropy_kick`.)
+        // Converged pass: eager maintenance keeps copy *content* fresh,
+        // so when every label has its full live follower set and
+        // nothing needs GC the blanket re-clone would be pure
+        // steady-state traffic — skip it.
         if report.under_replicated == 0 && drops.is_empty() {
             return (report, false);
         }
@@ -1808,23 +1752,6 @@ impl Engine {
             ));
         }
         (report, true)
-    }
-
-    /// The simple anti-entropy pass of the asynchronous runtimes (no
-    /// eager flush to lean on): re-plan the follower records, then kick
-    /// every peer with `SyncReplicas` so each re-clones its nodes along
-    /// the ring. The runtime drains afterwards. No-op at `k = 1`.
-    pub fn anti_entropy_kick<T: Transport>(&mut self, t: &mut T) -> bool {
-        let k = self.config.replication;
-        if k <= 1 || self.members.len() <= 1 {
-            return false;
-        }
-        let peers: Vec<Key> = self.members.iter().cloned().collect();
-        repair::refresh_follower_records(&mut self.directory, &peers, k);
-        for p in peers {
-            t.deliver(Envelope::to_peer(p, PeerMsg::SyncReplicas { k: k as u32 }));
-        }
-        true
     }
 
     /// Serves a capacity-refused discovery visit from a live follower
@@ -1973,7 +1900,7 @@ impl Engine {
         let mut fx = std::mem::take(&mut self.scratch);
         maintenance::leave(&mut shard, &mut fx);
         self.stats.maintenance_messages += fx.out.len() as u64;
-        if self.config.eager_replication && self.config.replication > 1 {
+        if self.config.replication > 1 {
             // The departing peer's follower copies vanish with it; its
             // hand-off therefore also kicks the affected primaries to
             // re-clone, so a graceful leave never opens a
@@ -2061,7 +1988,7 @@ impl Engine {
             self.subscriptions.subscribe(sc.label, new_pid);
         }
         self.members.remove(old);
-        let eager = self.config.eager_replication && self.config.replication > 1;
+        let eager = self.config.replication > 1;
         let slot = self.peers.get_mut(new_pid).expect("just re-bound");
         slot.key = new.clone();
         let shard = slot.shard.as_mut().expect("checked above");
@@ -2905,7 +2832,6 @@ mod tests {
                 Address::peer(k("C"))
             ]
         );
-        assert_eq!(t.now(), 0);
     }
 
     fn report(id: u64, path: Vec<Key>, results: Vec<Key>, pending: u32) -> DiscoveryOutcome {

@@ -629,7 +629,6 @@ impl ParallelPump {
         let roster = Roster::new(n);
         let failed = AtomicBool::new(false);
         let directory = &engine.directory;
-        let charge = engine.config.charge_capacity;
         let trace = engine.tracer.enabled();
         #[cfg(test)]
         let sabotage = self.sabotage;
@@ -651,7 +650,7 @@ impl ParallelPump {
                 let route = route.clone();
                 handles.push(scope.spawn(move || {
                     worker_loop(
-                        w, slice, queue, txs, rxs, directory, route, charge, trace, failed, roster,
+                        w, slice, queue, txs, rxs, directory, route, trace, failed, roster,
                         sabotage,
                     )
                 }));
@@ -715,10 +714,10 @@ impl ParallelPump {
         }
 
         // A dead worker means an unknown number of envelopes never
-        // arrived: the partial responses folded above are kept (they
-        // may have finalized some requests), everything still in
-        // flight is purged so no zombie aggregation lingers, and the
-        // caller gets an error instead of a process abort.
+        // arrived: requests with no branch outstanding after the fold
+        // above are judged as usual, everything still in flight is
+        // purged so no zombie aggregation lingers, and the caller gets
+        // an error instead of a process abort.
         if join_failed || outs.iter().any(|o| o.failed) {
             let mut completed = 0;
             for id in ids {
@@ -732,21 +731,11 @@ impl ParallelPump {
             return Err(DlptError::WorkerFailed { completed });
         }
 
-        let mut results = Vec::with_capacity(ids.len());
-        for id in ids {
-            let out = if let Some(out) = engine.take_finished(id) {
-                out
-            } else if engine.gathers.contains(id) {
-                // Quiescence-judging engines never eagerly finalize;
-                // the pump is drained here, so judging now is exactly
-                // what `judge_at_quiescence` asks for.
-                engine.finish_request(id)
-            } else {
-                return Err(DlptError::Undeliverable(format!("request {id}")));
-            };
-            results.push(out);
-        }
-        Ok(results)
+        // The mesh is drained: judge every request in input order.
+        Ok(ids
+            .into_iter()
+            .map(|id| engine.finish_request(id))
+            .collect())
     }
 }
 
@@ -764,7 +753,6 @@ fn worker_loop<'a>(
     rxs: Vec<&'a Ring>,
     directory: &Directory,
     route: RouteTable,
-    charge: bool,
     trace: bool,
     failed: &'a AtomicBool,
     roster: &'a Roster,
@@ -802,7 +790,6 @@ fn worker_loop<'a>(
             queue: &mut queue,
             directory,
             route,
-            charge,
             trace,
             fx: Effects::default(),
             seq: 0,
@@ -827,7 +814,6 @@ struct Worker<'a> {
     queue: &'a mut VecDeque<Envelope>,
     directory: &'a Directory,
     route: RouteTable,
-    charge: bool,
     trace: bool,
     fx: Effects,
     seq: u32,
@@ -956,7 +942,7 @@ impl Worker<'_> {
         // (the directory is frozen for the batch) and replica failover
         // (see the module docs).
         let (req, hops) = (m.request_id, m.path.len());
-        match discovery::deliver_visit(shard, &label, m, self.charge, &mut self.fx) {
+        match discovery::deliver_visit(shard, &label, m, &mut self.fx) {
             discovery::VisitGate::Missing(m) => {
                 self.out.undeliverable += 1;
                 let outcome = failed_discovery(&label, m);
@@ -1278,16 +1264,15 @@ mod tests {
         assert!(sys.cache_stats.hits > 0, "{:?}", sys.cache_stats);
     }
 
-    /// Regression: the pump must also serve engines configured like
-    /// the asynchronous runtimes (`judge_at_quiescence`), which never
-    /// eagerly finalize — the epilogue judges their still-registered
-    /// gathers once the mesh is drained instead of erroring out.
+    /// Regression: requests are judged only at quiescence, so the
+    /// epilogue must judge every still-registered gather once the mesh
+    /// is drained — on a bare engine as on a `DlptSystem` — instead of
+    /// erroring out.
     #[test]
     fn quiescence_judging_engines_run_batches_and_learn_shortcuts() {
         use crate::engine::{Engine, EngineConfig};
         use crate::node::NodeState;
         let mut e = Engine::new(EngineConfig {
-            judge_at_quiescence: true,
             cache_capacity: 16,
             ..EngineConfig::default()
         });
@@ -1304,8 +1289,8 @@ mod tests {
         assert!(out[0].satisfied);
         assert_eq!(out[0].results, vec![k("DGEMM")]);
         // The satisfied exact query must teach the entry peer's cache
-        // through the quiescence-judging epilogue (`finish_request`),
-        // not silently drop the learn intent.
+        // through the epilogue (`finish_request`), not silently drop
+        // the learn intent.
         assert_eq!(e.cache_stats.learned, 1, "{:?}", e.cache_stats);
         let out = ParallelPump::new(2)
             .run_batch(&mut e, vec![(k("DGEMM"), QueryKind::Exact(k("DGEMM")))])

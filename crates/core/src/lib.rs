@@ -27,9 +27,10 @@
 //!
 //! The protocol is written as message handlers over explicit state
 //! ([`messages`], [`node`], [`peer`]) so that the same code drives the
-//! synchronous in-process runtime used by the simulator, the
-//! discrete-event latency simulator in `dlpt-net` and the
-//! shared-nothing parallel pump ([`engine::parallel`]).
+//! sequential runtime ([`system::DlptSystem`], whose [`event`] queue
+//! delivers in FIFO order at zero delay and after sampled latencies
+//! otherwise — `dlpt-net`'s `LatencyNet` is that configuration) and
+//! the shared-nothing parallel pump ([`engine::parallel`]).
 
 pub mod alphabet;
 pub mod balance;
@@ -37,6 +38,7 @@ pub mod cache;
 pub mod directory;
 pub mod engine;
 pub mod error;
+pub mod event;
 pub mod key;
 pub mod mapping;
 pub mod messages;
@@ -55,6 +57,7 @@ pub use balance::{KChoices, LoadBalancer, MaxLocalThroughput, NoBalancing};
 pub use cache::{CacheStats, RouteCache, Shortcut};
 pub use engine::{parallel::ParallelPump, Engine, EngineConfig, FifoTransport, Step, Transport};
 pub use error::{DlptError, Result};
+pub use event::{EventQueue, LatencyModel};
 pub use key::Key;
 pub use messages::{Address, Envelope, Message, NodeMsg, PeerMsg, QueryKind};
 pub use node::NodeState;

@@ -96,8 +96,10 @@ impl EventKind {
 /// kind-dependent (see [`EventKind`]); ids are interned u32s from the
 /// engine [`crate::directory::Directory`], so an event never clones a
 /// `Key`. `(round, worker, seq)` is the deterministic merge tag:
-/// sequential runtimes stamp `(0, 0, ring seq)`, the parallel pump
-/// stamps the same tag its response fold sorts by.
+/// engine-side events are stamped `(0, ENGINE_PRODUCER, ring seq)`,
+/// parallel-pump workers stamp the same tag their response fold sorts
+/// by. Each producer's `seq` is monotonic within its `(round, worker)`
+/// group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Request id (low 32 bits of the engine's request counter).
@@ -114,20 +116,28 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Kind-dependent flag bits.
     pub flags: u8,
-    /// Producing worker (0 outside the parallel pump).
+    /// Producing worker; [`ENGINE_PRODUCER`] for events the engine
+    /// emits itself (sequential runtimes and the pump's prologue and
+    /// fold).
     pub worker: u16,
     /// Kind-dependent depth / hop count, saturated at `u16::MAX`.
     pub depth: u16,
 }
+
+/// The `worker` tag of engine-side events: no pump worker uses it, so
+/// the engine's sequence numbers never share a `(round, worker)` group
+/// with a worker's.
+pub const ENGINE_PRODUCER: u16 = u16::MAX;
 
 // The tentpole contract: events stay register-sized so a full ring is
 // a few hundred KiB and emission is a handful of moves.
 const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 32);
 
 impl TraceEvent {
-    /// An untagged sequential event: `(round, worker)` = `(0, 0)`,
-    /// `seq` stamped by the ring at emission. `request` keeps the low
-    /// 32 bits of the engine's request counter; `depth` saturates.
+    /// An engine-side event: `(round, worker)` =
+    /// `(0, ENGINE_PRODUCER)`, `seq` stamped by the ring at emission.
+    /// `request` keeps the low 32 bits of the engine's request counter;
+    /// `depth` saturates.
     #[inline]
     pub fn new(kind: EventKind, request: u64, a: u32, b: u32, depth: usize) -> Self {
         TraceEvent {
@@ -138,7 +148,7 @@ impl TraceEvent {
             seq: 0,
             kind,
             flags: 0,
-            worker: 0,
+            worker: ENGINE_PRODUCER,
             depth: depth.min(u16::MAX as usize) as u16,
         }
     }

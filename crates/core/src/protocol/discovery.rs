@@ -195,12 +195,10 @@ fn finish_empty_region(msg: DiscoveryMsg, fx: &mut Effects) {
 /// The node is only inspected; branch envelopes are emitted directly
 /// from the borrowed child set (no staging `Vec`, one extra counting
 /// pass over the few children instead), and the visit path is moved —
-/// not cloned — into the partial report. The report MUST precede the
-/// branch forwards: the aggregator finalizes eagerly when its
-/// outstanding counter drains, so a branch whose visit is refused
-/// synchronously (capacity drop) would otherwise finalize the request
-/// before this node's `pending_children` raise the counter, discarding
-/// every surviving result as stale.
+/// not cloned — into the partial report. The report precedes the
+/// branch forwards, so on a FIFO transport the aggregator sees this
+/// node's `pending_children` before any branch outcome and its
+/// outstanding counter never touches zero mid-request.
 fn gather(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects) {
     let results: Vec<Key> = node
         .data
@@ -209,8 +207,7 @@ fn gather(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects) {
         .cloned()
         .collect();
     // Single pass over the children: emit the branch envelopes, then
-    // splice the report in *front* of them (the aggregator must see
-    // `pending_children` before any branch outcome, see above). The
+    // splice the report in *front* of them (see above). The
     // splice shifts at most fan-out envelopes — cheaper than running
     // the prune predicate twice.
     let mark = fx.out.len();
@@ -277,70 +274,38 @@ pub fn entry_envelope(entry_node: Key, request_id: u64, query: QueryKind) -> Env
     )
 }
 
-/// Result of charging one discovery visit at delivery time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChargeOutcome {
-    /// The node is not hosted on this shard (in flight between peers);
-    /// nothing was charged — the runtime should retry later.
-    Missing,
-    /// The visit was accepted and charged.
-    Accepted,
-    /// The peer's capacity is exhausted; the offered load was still
-    /// recorded (`l_n` counts demand, per Section 4) but the request
-    /// must be ignored — the runtime synthesizes a dropped outcome.
-    Dropped,
-}
-
-/// Charge-and-count at delivery: one map probe doubles as the
-/// existence check, increments the node's offered-load counter (`l_n`)
-/// and consumes one unit of the peer's capacity. This is the single
-/// home of the capacity model's charging rule — runtimes must route
-/// every discovery delivery through it.
-pub fn charge_visit(shard: &mut PeerShard, node_label: &Key) -> ChargeOutcome {
-    let Some(node) = shard.nodes.get_mut(node_label) else {
-        return ChargeOutcome::Missing;
-    };
-    node.load += 1;
-    if shard.peer.try_accept() {
-        ChargeOutcome::Accepted
-    } else {
-        ChargeOutcome::Dropped
-    }
-}
-
 /// Result of [`deliver_visit`]: refusals hand the message back intact
 /// so the runtime can requeue or synthesize a dropped outcome.
 pub enum VisitGate {
-    /// The node is not hosted here (hand-off in flight): retry later.
+    /// The node is not hosted here (hand-off in flight): nothing was
+    /// charged — retry later.
     Missing(DiscoveryMsg),
-    /// Charged (when requested) and routed.
+    /// Charged and routed.
     Delivered,
-    /// The peer's capacity is exhausted; offered load was recorded but
-    /// the request must be ignored (Section 4's model).
+    /// The peer's capacity is exhausted; offered load was recorded
+    /// (`l_n` counts demand, per Section 4) but the request must be
+    /// ignored — the runtime synthesizes a dropped outcome.
     Dropped(DiscoveryMsg),
 }
 
-/// One-probe delivery for the runtime hot path: a single `nodes` probe
-/// serves the existence check, the capacity charge (when `charge` is
-/// set — same rule as [`charge_visit`]) and the routing visit itself,
-/// instead of a charge probe followed by a second lookup in
-/// [`on_discovery`].
+/// Charge-and-route at delivery, the single home of the capacity
+/// model's charging rule: one `nodes` probe serves the existence
+/// check, increments the node's offered-load counter (`l_n`), consumes
+/// one unit of the peer's capacity and runs the routing visit itself.
+/// Every runtime routes every discovery delivery through it.
 #[inline]
 pub fn deliver_visit(
     shard: &mut PeerShard,
     node_label: &Key,
     msg: DiscoveryMsg,
-    charge: bool,
     fx: &mut Effects,
 ) -> VisitGate {
     let Some(node) = shard.nodes.get_mut(node_label) else {
         return VisitGate::Missing(msg);
     };
-    if charge {
-        node.load += 1;
-        if !shard.peer.try_accept() {
-            return VisitGate::Dropped(msg);
-        }
+    node.load += 1;
+    if !shard.peer.try_accept() {
+        return VisitGate::Dropped(msg);
     }
     on_discovery_at(node, msg, fx);
     VisitGate::Delivered
@@ -530,19 +495,29 @@ mod tests {
     }
 
     #[test]
-    fn charge_visit_counts_demand_even_when_dropped() {
+    fn deliver_visit_counts_demand_even_when_dropped() {
         let mut s = paper_shard();
         s.peer.capacity = 1;
-        assert_eq!(charge_visit(&mut s, &k("101")), ChargeOutcome::Accepted);
-        assert_eq!(
-            charge_visit(&mut s, &k("101")),
-            ChargeOutcome::Dropped,
+        let mut fx = Effects::default();
+        let visit = || msg(QueryKind::Exact(k("101")), RoutePhase::Up);
+        assert!(matches!(
+            deliver_visit(&mut s, &k("101"), visit(), &mut fx),
+            VisitGate::Delivered
+        ));
+        assert!(
+            matches!(
+                deliver_visit(&mut s, &k("101"), visit(), &mut fx),
+                VisitGate::Dropped(_)
+            ),
             "capacity exhausted"
         );
         assert_eq!(s.nodes[&k("101")].load, 2, "offered load counts drops");
         assert_eq!(s.peer.dropped_this_unit, 1);
         // An absent node charges nothing, not even the peer.
-        assert_eq!(charge_visit(&mut s, &k("zzz")), ChargeOutcome::Missing);
+        assert!(matches!(
+            deliver_visit(&mut s, &k("zzz"), visit(), &mut fx),
+            VisitGate::Missing(_)
+        ));
         assert_eq!(s.peer.dropped_this_unit, 1);
     }
 

@@ -101,7 +101,7 @@ pub fn on_promote_replica(shard: &mut PeerShard, label: &Key, fx: &mut Effects) 
 
 /// Recomputes and records the follower set of every live label over
 /// the current ring — the planning half of an anti-entropy pass,
-/// shared by all three runtimes so follower placement cannot drift
+/// shared by every runtime so follower placement cannot drift
 /// between them. The transport kick (`SyncReplicas` to every peer) is
 /// runtime-specific. `peers` must be sorted ascending.
 pub fn refresh_follower_records(directory: &mut Directory, peers: &[Key], k: usize) {

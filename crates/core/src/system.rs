@@ -1,24 +1,32 @@
-//! The synchronous DLPT runtime: a thin facade over the unified
-//! [`crate::engine`] with an immediate-FIFO transport.
+//! The sequential DLPT runtime: a thin facade over the unified
+//! [`crate::engine`] with one scheduler and a pluggable delay.
 //!
 //! [`DlptSystem`] owns an [`Engine`] (per-peer shards, delivery
 //! directory, route caches, replication bookkeeping — see the engine
-//! docs) plus the pieces that make the runtime *synchronous*: one
-//! seeded RNG, a strict FIFO queue ([`FifoTransport`]) and a drain
-//! loop that runs every operation to quiescence before returning.
+//! docs) plus the scheduler: one seeded RNG, an [`EventQueue`] fed
+//! through a [`LatencyModel`], and the one drain loop (requeues,
+//! request retries, fault plumbing) that runs every operation to
+//! quiescence before returning.
+//!
+//! * Zero delay ([`LatencyModel::Constant`]`(0)`, the default) is the
+//!   synchronous pump: processing is strictly FIFO, the queue never
+//!   touches its heap, and the engine may chain exact-query hops
+//!   inline.
+//! * Any other delay samples a latency per envelope from the same RNG,
+//!   so one operation's messages interleave arbitrarily — the
+//!   configuration `dlpt-net`'s `LatencyNet` wraps.
+//!
 //! Protocol logic lives entirely in [`crate::protocol`]; envelope
 //! dispatch, capacity charging (Section 4's model) and scatter/gather
-//! aggregation live in the engine, shared with the asynchronous
-//! runtimes in `dlpt-net`. Processing is strictly FIFO and all
-//! randomness comes from one seeded generator, so every run is a pure
-//! function of (operations, seed) — the property the experiment
-//! harness relies on for its 30/50/100-run averages.
+//! aggregation live in the engine. All randomness comes from one
+//! seeded generator, so every run is a pure function of (operations,
+//! seed) — the property the experiment harness relies on for its
+//! 30/50/100-run averages.
 
 use crate::alphabet::Alphabet;
-use crate::engine::{
-    empty_outcome, parallel::ParallelPump, Engine, EngineConfig, FifoTransport, Step,
-};
+use crate::engine::{empty_outcome, parallel::ParallelPump, Engine, EngineConfig, Step, Transport};
 use crate::error::{DlptError, Result};
+use crate::event::{EventQueue, LatencyModel};
 use crate::key::Key;
 use crate::messages::{Envelope, NodeMsg, QueryKind};
 use crate::node::NodeState;
@@ -67,6 +75,10 @@ pub struct SystemConfig {
     /// Only consulted when a [`FaultPlan`] is active; at exhaustion
     /// the request fails explicitly (never hangs).
     pub request_retry_budget: u32,
+    /// Delivery delay of every envelope. The default zero delay is the
+    /// synchronous FIFO pump; a sampled delay reorders one operation's
+    /// messages (see the module docs).
+    pub latency: LatencyModel,
 }
 
 impl Default for SystemConfig {
@@ -80,6 +92,7 @@ impl Default for SystemConfig {
             replication: 1,
             cache_capacity: 0,
             request_retry_budget: 4,
+            latency: LatencyModel::default(),
         }
     }
 }
@@ -168,21 +181,53 @@ pub struct RepairReport {
     pub created_nodes: usize,
 }
 
+/// Base delay (ticks) of the exponential request-retry backoff under
+/// a non-zero delay: attempt `a` re-enters the queue `base << a` ticks
+/// out, past everything the first attempt scheduled. Zero-delay runs
+/// retry at once (the queue is drained by then anyway).
+const RETRY_BACKOFF_BASE: u64 = 8;
+
 /// The whole overlay in one process. See the module docs.
 ///
 /// Dereferences to the underlying [`Engine`], so introspection
 /// (`peer_count`, `node_labels`, `host_of`, …), the invariant checks
 /// and the `stats` / `repl_stats` / `cache_stats` counters are the
-/// engine's — shared verbatim with the asynchronous runtimes.
+/// engine's — shared verbatim with the parallel pump.
 #[derive(Debug)]
 pub struct DlptSystem {
     config: SystemConfig,
-    rng: StdRng,
     engine: Engine,
-    /// The immediate-FIFO queue this runtime drains to quiescence.
-    pump: FifoTransport,
+    /// The event queue this runtime drains to quiescence, with the
+    /// system RNG.
+    sched: Scheduler,
     /// Fault-injection state ([`crate::transport`]); inert by default.
     faults: Faults,
+    /// Envelopes popped off the queue so far (requeues included).
+    deliveries: u64,
+}
+
+/// The runtime's transport: the event queue, the delay policy and the
+/// system RNG. The RNG lives here because sampling a delay is the one
+/// draw the transport makes; entry nodes and peer identifiers come from
+/// the same stream.
+#[derive(Debug)]
+struct Scheduler {
+    /// Pending envelopes, each with its requeue count.
+    queue: EventQueue<(u32, Envelope)>,
+    latency: LatencyModel,
+    rng: StdRng,
+}
+
+impl Transport for Scheduler {
+    #[inline]
+    fn deliver(&mut self, env: Envelope) {
+        let delay = self.latency.sample(&mut self.rng);
+        self.queue.push_after(delay, (0, env));
+    }
+
+    fn synchronous(&self) -> bool {
+        self.latency.is_zero()
+    }
 }
 
 impl std::ops::Deref for DlptSystem {
@@ -204,15 +249,16 @@ impl DlptSystem {
         let engine = Engine::new(EngineConfig {
             replication: config.replication,
             cache_capacity: config.cache_capacity,
-            charge_capacity: true,
-            judge_at_quiescence: false,
-            eager_replication: true,
         });
         DlptSystem {
-            rng: StdRng::seed_from_u64(seed),
             engine,
-            pump: FifoTransport::default(),
+            sched: Scheduler {
+                queue: EventQueue::new(),
+                latency: config.latency,
+                rng: StdRng::seed_from_u64(seed),
+            },
             faults: Faults::new(FaultPlan::default()),
+            deliveries: 0,
             config,
         }
     }
@@ -255,10 +301,6 @@ impl DlptSystem {
     /// inert: the drain path is byte-identical to a system that never
     /// called this.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        // Reordering breaks the FIFO parent-before-child response
-        // order the pump's eager judging relies on; finalize at
-        // quiescence instead while such a plan is installed.
-        self.engine.set_judge_at_quiescence(plan.reorder_rate > 0.0);
         self.faults = Faults::new(plan);
         self.engine.set_fault_recovery(self.faults.is_active());
     }
@@ -284,11 +326,18 @@ impl DlptSystem {
         s
     }
 
+    /// Envelopes delivered off the queue so far, requeues included (an
+    /// exact-query hop chained inline at zero delay is not queued, so
+    /// it is not counted).
+    pub fn deliveries(&self) -> u64 {
+        self.deliveries
+    }
+
     /// A uniformly random node label (the "random node of the tree"
     /// every request and registration enters through). O(1) over the
     /// directory's sorted table — no cache to rebuild.
     pub fn random_node(&mut self) -> Option<Key> {
-        self.engine.random_node(&mut self.rng)
+        self.engine.random_node(&mut self.sched.rng)
     }
 
     /// Draws a fresh peer identifier not colliding with existing ones.
@@ -297,7 +346,7 @@ impl DlptSystem {
             let id = self
                 .config
                 .alphabet
-                .random_id(&mut self.rng, self.config.peer_id_len);
+                .random_id(&mut self.sched.rng, self.config.peer_id_len);
             if !self.engine.contains_peer(&id) {
                 return id;
             }
@@ -307,7 +356,7 @@ impl DlptSystem {
     /// Access to the system RNG (experiments thread all randomness
     /// through the system for reproducibility).
     pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
+        &mut self.sched.rng
     }
 
     // ------------------------------------------------------------------
@@ -333,16 +382,14 @@ impl DlptSystem {
         if self.engine.peer_count() == 1 {
             return Ok(());
         }
-        let env = self.engine.join_envelope(&id, &mut self.rng);
-        self.enqueue(env);
-        self.drain()?;
-        self.flush_replication()
+        let env = self.engine.join_envelope(&id, &mut self.sched.rng);
+        self.submit(env)
     }
 
     /// Graceful departure: the peer hands its nodes to its successor
     /// and splices itself out (Section 4's churn model).
     pub fn leave_peer(&mut self, id: &Key) -> Result<()> {
-        self.engine.leave_shard(id, &mut self.pump)?;
+        self.engine.leave_shard(id, &mut self.sched)?;
         self.drain()?;
         self.flush_replication()
     }
@@ -382,12 +429,21 @@ impl DlptSystem {
         if !self.engine.directory.contains(entry) {
             return Err(DlptError::UnknownNode(entry.to_string()));
         }
-        self.enqueue(Envelope::to_node(
+        self.submit(Envelope::to_node(
             entry.clone(),
             NodeMsg::DataInsertion { key },
-        ));
-        self.drain()?;
-        self.flush_replication()
+        ))
+    }
+
+    /// Registers a service key with every step routed through the
+    /// overlay: through a random entry node like
+    /// [`DlptSystem::insert_data`] while the tree exists, but the first
+    /// key travels as a `Host` seed from the lowest peer along the ring
+    /// to its mapped host ([`Engine::insert_envelope`]) instead of
+    /// being installed there directly.
+    pub fn insert_data_routed(&mut self, key: Key) -> Result<()> {
+        let env = self.engine.insert_envelope(key, &mut self.sched.rng);
+        self.submit(env)
     }
 
     /// First registration: creates the root node directly on the peer
@@ -422,12 +478,10 @@ impl DlptSystem {
         let Some(entry) = self.random_node() else {
             return Ok(()); // empty tree: nothing registered
         };
-        self.enqueue(Envelope::to_node(
+        self.submit(Envelope::to_node(
             entry,
             NodeMsg::DataRemoval { key: key.clone() },
-        ));
-        self.drain()?;
-        self.flush_replication()?;
+        ))?;
         if self.engine.root().is_none() {
             self.recompute_root();
         }
@@ -441,44 +495,39 @@ impl DlptSystem {
         self.request_from(&entry, query)
     }
 
-    /// Issues a discovery request from a chosen entry node.
+    /// Issues a discovery request from a chosen entry node and judges
+    /// it once the queue has drained.
     ///
     /// Cache consultation, shortcut learning and scatter/gather
     /// aggregation are the engine's — see
     /// [`Engine::begin_request`] for the route-cache flow.
     pub fn request_from(&mut self, entry: &Key, query: QueryKind) -> Result<LookupOutcome> {
         let (id, env) = self.engine.begin_request(entry, query)?;
-        if !self.faults.is_active() {
-            self.enqueue(env);
-            self.drain()?;
-            return self
-                .engine
-                .take_finished(id)
-                .ok_or(DlptError::Undeliverable(format!("request {id}")));
-        }
+        self.sched.deliver(env);
+        self.drain()?;
         // Fault-tolerant path: a lost response leaves a branch
         // outstanding at quiescence; re-issue the engine's retry
         // snapshot of the original envelope up to the retry budget,
         // then fail explicitly — a request never hangs and never
         // silently vanishes.
-        self.enqueue(env);
-        self.drain()?;
         let mut attempts = 0u32;
-        loop {
-            if let Some(out) = self.engine.take_finished(id) {
-                return Ok(out);
-            }
-            if !self.engine.retry_pending(id) || attempts >= self.config.request_retry_budget {
-                break;
-            }
-            attempts += 1;
+        while self.faults.is_active()
+            && self.engine.retry_pending(id)
+            && attempts < self.config.request_retry_budget
+        {
             self.faults.stats.retries += 1;
             let origin = self
                 .engine
                 .retry_envelope(id)
                 .expect("fault recovery keeps the origin snapshot");
             self.engine.reset_request_for_retry(id);
-            self.enqueue(origin);
+            let delay = if self.sched.latency.is_zero() {
+                0
+            } else {
+                RETRY_BACKOFF_BASE << attempts.min(16)
+            };
+            attempts += 1;
+            self.sched.queue.push_after(delay, (0, origin));
             self.drain()?;
         }
         if self.engine.retry_pending(id) {
@@ -539,10 +588,10 @@ impl DlptSystem {
         // `InvalidateCached` — it must enter through the fault layer or
         // a partition could never strand a stale shortcut.
         if self.faults.is_active() {
-            let mut t = FaultyTransport::new(&mut self.pump, &mut self.faults);
+            let mut t = FaultyTransport::new(&mut self.sched, &mut self.faults);
             self.engine.migrate_shard_node(label, to, &mut t)?;
         } else {
-            self.engine.migrate_shard_node(label, to, &mut self.pump)?;
+            self.engine.migrate_shard_node(label, to, &mut self.sched)?;
         }
         self.drain()?;
         self.flush_replication()
@@ -573,7 +622,7 @@ impl DlptSystem {
     /// converge the overlay back to the replication invariant after
     /// crashes and leaves. No-op at `k = 1`.
     pub fn anti_entropy(&mut self) -> Result<AntiEntropyReport> {
-        let (mut report, kicked) = self.engine.anti_entropy_scan(&mut self.pump);
+        let (mut report, kicked) = self.engine.anti_entropy_scan(&mut self.sched);
         if !kicked {
             return Ok(report);
         }
@@ -780,8 +829,14 @@ impl DlptSystem {
     // The pump
     // ------------------------------------------------------------------
 
-    fn enqueue(&mut self, env: Envelope) {
-        self.pump.queue.push_back((0, env));
+    /// Sends the envelope that starts a client operation through the
+    /// delay policy — not through the fault layer: a client's
+    /// submission is reliable — runs it to quiescence and flushes
+    /// replica maintenance, as every mutating operation does.
+    fn submit(&mut self, env: Envelope) -> Result<()> {
+        self.sched.deliver(env);
+        self.drain()?;
+        self.flush_replication()
     }
 
     fn recompute_root(&mut self) {
@@ -795,41 +850,42 @@ impl DlptSystem {
     }
 
     /// Eager replica maintenance after a mutating operation: the
-    /// engine enqueues the re-clone traffic, the pump drains it.
+    /// engine enqueues the re-clone traffic, the queue drains it.
     /// No-op at `k = 1`.
     fn flush_replication(&mut self) -> Result<()> {
-        self.engine.flush_replication(&mut self.pump);
+        self.engine.flush_replication(&mut self.sched);
         self.drain()
     }
 
     /// Processes the queue to quiescence through the engine's
     /// dispatch.
     fn drain(&mut self) -> Result<()> {
-        let mut steps = 0usize;
-        while let Some((requeues, env)) = self.pump.queue.pop_front() {
-            steps += 1;
-            if steps > self.config.drain_budget {
-                return Err(DlptError::HopBudgetExhausted {
-                    budget: self.config.drain_budget,
-                });
+        let start = self.deliveries;
+        loop {
+            while let Some((requeues, env)) = self.sched.queue.pop() {
+                self.deliveries += 1;
+                if self.deliveries - start > self.config.drain_budget as u64 {
+                    return Err(DlptError::HopBudgetExhausted {
+                        budget: self.config.drain_budget,
+                    });
+                }
+                let step = if self.faults.is_active() {
+                    let mut t = FaultyTransport::new(&mut self.sched, &mut self.faults);
+                    self.engine.deliver(&mut t, env)?
+                } else {
+                    self.engine.deliver(&mut self.sched, env)?
+                };
+                if let Step::Requeue(env) = step {
+                    self.requeue(requeues, env)?;
+                }
             }
-            let step = if self.faults.is_active() {
-                let mut t = FaultyTransport::new(&mut self.pump, &mut self.faults);
-                self.engine.deliver(&mut t, env)?
-            } else {
-                self.engine.deliver(&mut self.pump, env)?
-            };
-            match step {
-                Step::Done => {}
-                Step::Requeue(env) => self.requeue(requeues, env)?,
+            // Reorder-deferred envelopes are released at quiescence;
+            // they may fan out further, so drain again until nothing
+            // is held.
+            if !self.faults.flush_deferred(&mut self.sched) {
+                return Ok(());
             }
         }
-        // Reorder-deferred envelopes are released at quiescence; they
-        // may fan out further, so drain again until nothing is held.
-        if self.faults.flush_deferred(&mut self.pump) {
-            return self.drain();
-        }
-        Ok(())
     }
 
     fn requeue(&mut self, requeues: u32, env: Envelope) -> Result<()> {
@@ -844,7 +900,11 @@ impl DlptSystem {
             return self.engine.fail_undeliverable(env);
         }
         self.engine.stats.requeues += 1;
-        self.pump.queue.push_back((requeues + 1, env));
+        // Zero delay: the back of the current tick, i.e. FIFO. Otherwise
+        // one tick later; the message that creates the destination is
+        // already in flight.
+        let delay = u64::from(!self.sched.latency.is_zero());
+        self.sched.queue.push_after(delay, (requeues + 1, env));
         Ok(())
     }
 
@@ -1599,5 +1659,69 @@ mod tests {
         }
         let out = sys.complete(&k("S3L"));
         assert_eq!(out.results.len(), 40);
+    }
+
+    /// Duplicated discovery traffic changes nothing a client sees.
+    /// Requests are judged only once the queue drains, so every
+    /// duplicate response reaches the aggregation's idempotency filter
+    /// and is counted there, instead of arriving after an eager
+    /// verdict and being dropped unseen as stale.
+    #[test]
+    fn duplicated_responses_are_suppressed_and_outcomes_match_a_fault_free_run() {
+        let queries = || {
+            let mut qs: Vec<QueryKind> = ["DGEMM", "DTRSM", "S3L_fft", "PSGESV", "ZTRSM"]
+                .into_iter()
+                .map(|n| QueryKind::Exact(k(n)))
+                .collect();
+            qs.push(QueryKind::Complete(k("D")));
+            qs.push(QueryKind::Complete(k("S3L")));
+            qs.push(QueryKind::Range(k("D"), k("T")));
+            let once = qs.clone();
+            for _ in 0..3 {
+                qs.extend(once.iter().cloned());
+            }
+            qs
+        };
+        let run = |plan: Option<FaultPlan>| {
+            let mut sys = DlptSystem::builder()
+                .seed(5)
+                .peer_id_len(8)
+                .bootstrap_peers(8)
+                .build();
+            for n in [
+                "DGEMM", "DGEMV", "DTRSM", "DTRMM", "S3L_fft", "S3L_sort", "PSGESV", "ZTRSM",
+            ] {
+                sys.insert_data(k(n)).unwrap();
+            }
+            if let Some(plan) = plan {
+                sys.set_fault_plan(plan);
+            }
+            let outs: Vec<LookupOutcome> = queries()
+                .into_iter()
+                .map(|q| sys.request(q).unwrap())
+                .collect();
+            (outs, sys.fault_stats())
+        };
+        let (clean, _) = run(None);
+        let (dup, stats) = run(Some(FaultPlan {
+            dup_rate: 0.3,
+            seed: 9,
+            ..FaultPlan::default()
+        }));
+        assert!(clean.iter().all(|o| o.satisfied));
+        assert!(stats.duplicated > 0, "{stats:?}");
+        assert!(stats.duplicates_suppressed > 0, "{stats:?}");
+        assert_eq!(stats.retries, 0, "duplication loses nothing: {stats:?}");
+        // `gather_visits` is left out: gather-branch reports carry an
+        // empty path, so two result-less branches with equal fan-out
+        // share an idempotency digest and the filter also suppresses
+        // the second (a known undercount of the digest, not of the
+        // completion rule).
+        let seen = |outs: &[LookupOutcome]| -> Vec<_> {
+            outs.iter()
+                .map(|o| (o.satisfied, o.dropped, o.results.clone(), o.path.clone()))
+                .collect()
+        };
+        assert_eq!(seen(&dup), seen(&clean));
     }
 }

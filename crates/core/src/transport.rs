@@ -1,12 +1,12 @@
 //! Fault injection as a transport decorator.
 //!
-//! [`FaultyTransport`] wraps any [`Transport`] — the synchronous FIFO
-//! pump or the discrete-event latency queue — and injects seeded,
-//! deterministic message loss, duplication, reordering and healable
-//! partitions according to a [`FaultPlan`]. Nothing in the engine or
-//! the runtimes knows whether the transport underneath them is faulty;
-//! they only gain the retry and idempotency machinery that faults make
-//! necessary.
+//! [`FaultyTransport`] wraps any [`Transport`] — in practice the event
+//! queue of [`crate::system::DlptSystem`], at zero or sampled delay —
+//! and injects seeded, deterministic message loss, duplication,
+//! reordering and healable partitions according to a [`FaultPlan`].
+//! Nothing in the engine or the runtimes knows whether the transport
+//! underneath them is faulty; they only gain the retry and idempotency
+//! machinery that faults make necessary.
 //!
 //! Determinism rules (what keeps the golden fingerprint byte-identical
 //! when faults are off, and lossy runs reproducible when they are on):
@@ -266,10 +266,6 @@ impl<T: Transport> Transport for FaultyTransport<'_, T> {
             }
             Verdict::Defer => self.faults.deferred.push_back(env),
         }
-    }
-
-    fn now(&self) -> u64 {
-        self.inner.now()
     }
 }
 

@@ -2,15 +2,15 @@
 //! # dlpt-net — transports for the DLPT protocol
 //!
 //! The protocol handlers in `dlpt-core::protocol` are pure functions
-//! over one peer shard; this crate supplies what carries their
-//! envelopes outside the synchronous pump:
+//! over one peer shard; this crate supplies the latency simulator's
+//! API and the wire format for their envelopes:
 //!
-//! * [`event`] — a deterministic discrete-event queue;
 //! * [`sim::LatencyNet`] — a message-level simulator that delivers
-//!   envelopes after randomized latencies. Because deliveries
-//!   interleave arbitrarily, it exercises the protocol's tolerance to
-//!   out-of-order messages — something the synchronous FIFO pump of
-//!   `DlptSystem` never does;
+//!   envelopes after randomized latencies. It is `DlptSystem` with a
+//!   non-zero [`LatencyModel`] (the scheduler lives in
+//!   `dlpt_core::event`); because deliveries interleave arbitrarily,
+//!   it exercises the protocol's tolerance to out-of-order messages —
+//!   something the zero-delay FIFO pump never does;
 //! * [`codec`] — a length-prefixed binary wire format for every
 //!   protocol message (what a deployment would put on TCP).
 //!   `tests/runtime_equivalence.rs` drives a full workload with every
@@ -20,8 +20,6 @@
 //! shared-nothing pump, which is deterministic per `(seed, workers)`.
 
 pub mod codec;
-pub mod event;
 pub mod sim;
 
-pub use event::EventQueue;
 pub use sim::{LatencyModel, LatencyNet};

@@ -1,197 +1,123 @@
 //! Message-level simulation with randomized latencies.
 //!
-//! [`LatencyNet`] is a thin adapter over the unified protocol engine
-//! (`dlpt_core::engine`): it owns an [`Engine`] plus a deterministic
-//! discrete-event queue, and implements the engine's `Transport` by
-//! sampling a delivery delay for every envelope — so messages from one
-//! operation interleave in arbitrary order while dispatch, effects,
-//! replication and cache invalidation run through exactly the same
-//! state machine as the synchronous pump. The protocol is supposed to
-//! converge to the same tree regardless of delivery order — the tests
-//! here check exactly that, against the sequential oracle.
+//! [`LatencyNet`] is [`DlptSystem`] with a non-zero delay policy
+//! ([`LatencyModel`]): every envelope is delivered after a delay
+//! sampled from the system RNG, so messages from one operation
+//! interleave in arbitrary order while dispatch, effects, capacity
+//! charging, replication and cache invalidation run through exactly
+//! the same engine, drain loop and request-retry loop as the
+//! synchronous pump. The protocol is supposed to converge to the same
+//! tree regardless of delivery order — the tests here check exactly
+//! that, against the sequential oracle.
 //!
-//! Peer capacity is not modelled (the engine's `charge_capacity` flag
-//! stays off; the experiment harness owns that concern): this runtime
-//! answers the orthogonal question "is the protocol correct under
-//! asynchrony?". Request completion is judged only at quiescence
-//! (`judge_at_quiescence`), because out-of-order responses can
-//! transiently zero the outstanding-branch counter.
+//! This facade only keeps the simulator's own API: peers join under
+//! explicit identifiers with effectively unbounded capacity, the
+//! first registration travels as a `Host` seed through the ring
+//! ([`Engine::insert_envelope`]), queries answer `(found, results)`,
+//! and [`LatencyNet::deliveries`] counts queue pops.
 
-use crate::event::EventQueue;
-use dlpt_core::engine::{Engine, EngineConfig, Step, Transport};
+use dlpt_core::engine::Engine;
 use dlpt_core::key::Key;
-use dlpt_core::messages::{Envelope, QueryKind};
-use dlpt_core::transport::{FaultPlan, FaultStats, Faults, FaultyTransport};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use dlpt_core::messages::QueryKind;
+use dlpt_core::system::{DlptSystem, SystemConfig};
+use dlpt_core::transport::{FaultPlan, FaultStats};
 
-/// How long a message takes from send to delivery.
-#[derive(Debug, Clone, Copy)]
-pub enum LatencyModel {
-    /// Every message takes exactly this many ticks.
-    Constant(u64),
-    /// Uniformly sampled delay (inclusive bounds).
-    Uniform(u64, u64),
-}
+pub use dlpt_core::event::LatencyModel;
 
-impl LatencyModel {
-    fn sample(&self, rng: &mut StdRng) -> u64 {
-        match self {
-            LatencyModel::Constant(d) => *d,
-            LatencyModel::Uniform(lo, hi) => rng.gen_range(*lo..=*hi.max(lo)),
-        }
-    }
-}
+/// How many times one envelope may be requeued while its destination
+/// is in flight (floored at twice the ring size, as in every
+/// configuration). Sampled delays stretch the wait for a destination
+/// far beyond the zero-delay default.
+const REQUEUE_BUDGET: u32 = 4096;
 
-/// The latency-queue transport: every delivered envelope is scheduled
-/// after a sampled delay, entering the same seeded event queue as
-/// everything else in flight.
-struct LatencyTransport<'a> {
-    queue: &'a mut EventQueue<(u32, Envelope)>,
-    latency: LatencyModel,
-    rng: &'a mut StdRng,
-}
-
-impl Transport for LatencyTransport<'_> {
-    fn deliver(&mut self, env: Envelope) {
-        let delay = self.latency.sample(self.rng);
-        self.queue.push_after(delay, (0, env));
-    }
-
-    fn now(&self) -> u64 {
-        self.queue.now()
-    }
-}
-
-/// The asynchronous runtime. Dereferences to the underlying
+/// The latency-simulating runtime. Dereferences to the underlying
 /// [`Engine`] for introspection, invariant checks and the
 /// `cache_stats` / `repl_stats` counters.
 #[derive(Debug)]
 pub struct LatencyNet {
-    engine: Engine,
-    queue: EventQueue<(u32, Envelope)>,
-    latency: LatencyModel,
-    rng: StdRng,
-    requeue_budget: u32,
-    /// Fault-injection state (`dlpt_core::transport`); inert by
-    /// default.
-    faults: Faults,
-    /// Bounded per-request retries when faults are active; exhaustion
-    /// fails the request explicitly.
-    request_retry_budget: u32,
-    /// Base delay of the exponential retry backoff (ticks); attempt
-    /// `a` re-enters the event queue after `base << a`.
-    backoff_base: u64,
-    /// Messages delivered so far.
+    sys: DlptSystem,
+    /// Messages delivered so far (see [`DlptSystem::deliveries`]).
     pub deliveries: u64,
 }
 
 impl std::ops::Deref for LatencyNet {
     type Target = Engine;
     fn deref(&self) -> &Engine {
-        &self.engine
+        &self.sys
     }
 }
 
 impl std::ops::DerefMut for LatencyNet {
     fn deref_mut(&mut self) -> &mut Engine {
-        &mut self.engine
+        &mut self.sys
     }
 }
 
 impl LatencyNet {
     /// An empty network.
     pub fn new(latency: LatencyModel, seed: u64) -> Self {
-        LatencyNet {
-            engine: Engine::new(EngineConfig {
-                judge_at_quiescence: true,
-                ..EngineConfig::default()
-            }),
-            queue: EventQueue::new(),
+        let config = SystemConfig {
             latency,
-            rng: StdRng::seed_from_u64(seed),
-            requeue_budget: 4096,
-            faults: Faults::new(FaultPlan::default()),
-            request_retry_budget: 4,
-            backoff_base: 8,
+            requeue_budget: REQUEUE_BUDGET,
+            ..SystemConfig::default()
+        };
+        LatencyNet {
+            sys: DlptSystem::new(config, seed),
             deliveries: 0,
         }
+    }
+
+    /// Runs one operation on the system, then refreshes
+    /// [`LatencyNet::deliveries`].
+    fn run<R>(&mut self, op: impl FnOnce(&mut DlptSystem) -> R) -> R {
+        let out = op(&mut self.sys);
+        self.deliveries = self.sys.deliveries();
+        out
     }
 
     /// Installs a fault plan, resetting the fault RNG, counters and
     /// partition. The default plan is fully inert.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = Faults::new(plan);
-        self.engine.set_fault_recovery(self.faults.is_active());
+        self.sys.set_fault_plan(plan);
     }
 
     /// Severs the lexicographic key range `[lo, hi)` for faultable
     /// traffic until [`LatencyNet::heal_partition`].
     pub fn partition(&mut self, lo: Key, hi: Key) {
-        self.faults.partition(lo, hi);
-        self.engine.set_fault_recovery(true);
+        self.sys.partition(lo, hi);
     }
 
     /// Heals a partition installed by [`LatencyNet::partition`].
     pub fn heal_partition(&mut self) {
-        self.faults.heal();
-        self.engine.set_fault_recovery(self.faults.is_active());
+        self.sys.heal_partition();
     }
 
     /// Combined fault counters: transport-level draws plus the
     /// engine's suppressed duplicates.
     pub fn fault_stats(&self) -> FaultStats {
-        let mut s = self.faults.stats;
-        s.duplicates_suppressed += self.engine.duplicates_suppressed;
-        s
-    }
-
-    /// Schedules one externally injected envelope through the same
-    /// transport the engine uses, so injected operations and
-    /// engine-emitted traffic can never diverge in delivery policy.
-    fn send(&mut self, env: Envelope) {
-        let inner = LatencyTransport {
-            queue: &mut self.queue,
-            latency: self.latency,
-            rng: &mut self.rng,
-        };
-        if self.faults.is_active() {
-            FaultyTransport::new(inner, &mut self.faults).deliver(env);
-        } else {
-            let mut inner = inner;
-            inner.deliver(env);
-        }
+        self.sys.fault_stats()
     }
 
     /// Adds a peer, routing the join through the tree, and runs the
     /// network to quiescence.
     pub fn add_peer(&mut self, id: Key) {
-        assert!(!self.engine.contains_peer(&id), "duplicate peer id");
-        self.engine.add_local_shard(id.clone(), u32::MAX >> 1);
-        if self.engine.peer_count() == 1 {
-            return;
-        }
-        let env = self.engine.join_envelope(&id, &mut self.rng);
-        self.send(env);
-        self.run_to_quiescence();
+        self.run(|sys| sys.add_peer_with_id(id, u32::MAX >> 1))
+            .expect("peer joins under a fresh, valid identifier");
     }
 
-    /// Registers a key and runs to quiescence.
+    /// Registers a key and runs to quiescence. The first key enters as
+    /// a `Host` seed walking the ring to its mapped peer.
     pub fn insert_data(&mut self, key: Key) {
-        assert!(self.engine.peer_count() > 0, "need at least one peer");
-        let env = self.engine.insert_envelope(key, &mut self.rng);
-        self.send(env);
-        self.run_to_quiescence();
+        assert!(self.sys.peer_count() > 0, "need at least one peer");
+        self.run(|sys| sys.insert_data_routed(key))
+            .expect("registration reaches quiescence");
     }
 
     /// Deregisters a key and runs to quiescence.
     pub fn remove_data(&mut self, key: &Key) {
-        if let Some(entry) = self.engine.random_node(&mut self.rng) {
-            self.send(Envelope::to_node(
-                entry,
-                dlpt_core::messages::NodeMsg::DataRemoval { key: key.clone() },
-            ));
-            self.run_to_quiescence();
+        if self.sys.peer_count() > 0 {
+            self.run(|sys| sys.remove_data(key))
+                .expect("removal reaches quiescence");
         }
     }
 
@@ -211,118 +137,18 @@ impl LatencyNet {
     }
 
     fn request(&mut self, query: QueryKind) -> (bool, Vec<Key>) {
-        let Some(entry) = self.engine.random_node(&mut self.rng) else {
-            return (false, Vec::new());
-        };
-        // Cache consult at the entry peer — the engine's shared flow;
-        // the shortcut route (and later the invalidations) travel
-        // through the latency-randomized queue like everything else.
-        let (id, env) = self
-            .engine
-            .begin_request(&entry, query)
-            .expect("entry is a live node");
-        self.send(env);
-        self.run_to_quiescence();
-        // Only judge completion once the network is drained: responses
-        // arrive out of order here, so the outstanding-branch counter
-        // can transiently touch zero while a parent's response (which
-        // would raise it again via `pending_children`) is still in
-        // flight.
-        if self.faults.is_active() {
-            // Fault-tolerant path: a branch left outstanding at
-            // quiescence means loss; re-issue the engine's retry
-            // snapshot with exponential backoff (the retry re-enters
-            // the event queue `base << attempt` ticks out, past
-            // everything the first attempt scheduled), then fail
-            // explicitly at budget exhaustion. Fault-off runs never
-            // take the snapshot, so they pay no per-request clone.
-            let mut attempts = 0u32;
-            while self.engine.retry_pending(id) && attempts < self.request_retry_budget {
-                self.faults.stats.retries += 1;
-                let origin = self
-                    .engine
-                    .retry_envelope(id)
-                    .expect("fault recovery keeps the origin snapshot");
-                self.engine.reset_request_for_retry(id);
-                let delay = self.backoff_base << attempts.min(16);
-                attempts += 1;
-                self.queue.push_after(delay, (0, origin));
-                self.run_to_quiescence();
-            }
-            if self.engine.retry_pending(id) {
-                self.faults.stats.requests_failed += 1;
-            }
-        }
-        let out = self.engine.finish_request(id);
-        (out.satisfied, out.results)
-    }
-
-    /// Delivers events until none remain (including envelopes a
-    /// reordering fault held back past the queue).
-    pub fn run_to_quiescence(&mut self) {
-        loop {
-            while let Some((_, (requeues, env))) = self.queue.pop() {
-                self.deliveries += 1;
-                let inner = LatencyTransport {
-                    queue: &mut self.queue,
-                    latency: self.latency,
-                    rng: &mut self.rng,
-                };
-                let step = if self.faults.is_active() {
-                    let mut t = FaultyTransport::new(inner, &mut self.faults);
-                    self.engine.deliver(&mut t, env).expect("valid envelope")
-                } else {
-                    let mut t = inner;
-                    self.engine.deliver(&mut t, env).expect("valid envelope")
-                };
-                match step {
-                    Step::Done => {}
-                    Step::Requeue(env) => {
-                        // Same ring-size floor as the synchronous
-                        // pump: a seed walking the ring takes O(ring)
-                        // hops to land, and every hop is one more
-                        // requeue for the envelopes waiting on it.
-                        let floor = (self.engine.peer_count() as u32).saturating_mul(2);
-                        if requeues >= self.requeue_budget.max(floor) {
-                            // A lost discovery message still resolves
-                            // its request (explicit failure); anything
-                            // else exhausting the budget is a routing
-                            // bug worth aborting on.
-                            self.engine
-                                .fail_undeliverable(env)
-                                .expect("only discovery traffic may exhaust the requeue budget");
-                            continue;
-                        }
-                        // Retry shortly; the message that creates the
-                        // destination is already in flight.
-                        self.queue.push_after(1, (requeues + 1, env));
-                    }
-                }
-            }
-            let mut inner = LatencyTransport {
-                queue: &mut self.queue,
-                latency: self.latency,
-                rng: &mut self.rng,
-            };
-            if !self.faults.flush_deferred(&mut inner) {
-                break;
-            }
+        match self.run(|sys| sys.request(query)) {
+            Ok(out) => (out.satisfied, out.results),
+            Err(_) => (false, Vec::new()),
         }
     }
 
-    /// One anti-entropy pass (`protocol::repair`) under latency: every
-    /// peer is kicked with `SyncReplicas` and re-clones its nodes along
-    /// the ring; the `Replicate` walks interleave arbitrarily with each
-    /// other. Runs to quiescence. No-op at `k = 1`.
+    /// One anti-entropy pass (`protocol::repair`) under latency: the
+    /// `Replicate` walks interleave arbitrarily with each other. Runs
+    /// to quiescence. No-op at `k = 1`.
     pub fn anti_entropy(&mut self) {
-        let mut t = LatencyTransport {
-            queue: &mut self.queue,
-            latency: self.latency,
-            rng: &mut self.rng,
-        };
-        if self.engine.anti_entropy_kick(&mut t) {
-            self.run_to_quiescence();
-        }
+        self.run(|sys| sys.anti_entropy())
+            .expect("anti-entropy reaches quiescence");
     }
 
     /// Non-graceful departure: the peer vanishes with its state; the
@@ -331,7 +157,7 @@ impl LatencyNet {
     /// lost. Run [`LatencyNet::anti_entropy`] beforehand (for fresh
     /// copies) and afterwards (to restore `k`).
     pub fn crash_peer(&mut self, id: &Key) -> Vec<Key> {
-        self.engine.crash_shard(id).unwrap_or_default()
+        self.sys.crash_peer(id).unwrap_or_default()
     }
 }
 
@@ -341,6 +167,8 @@ mod tests {
     use dlpt_core::alphabet::Alphabet;
     use dlpt_core::cache::CacheStats;
     use dlpt_core::trie::PgcpTrie;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn build(latency: LatencyModel, seed: u64, peers: usize, keys: &[&str]) -> LatencyNet {
         let mut net = LatencyNet::new(latency, seed);

@@ -214,8 +214,8 @@ fn routed_envelopes_are_allocation_free_in_steady_state() {
     }
     let entry = Key::from("00");
     let probe = QueryKind::Exact(Key::from("110"));
-    // Warm both admission modes so the gather pool, learn map and
-    // finished map sit at their high-water marks.
+    // Warm both admission modes so the gather pool and learn map sit
+    // at their high-water marks.
     for armed in [false, true, false] {
         net.set_fault_recovery(armed);
         for _ in 0..8 {

@@ -1,7 +1,7 @@
-//! Cross-crate integration: the three runtimes (synchronous pump,
-//! latency simulator, codec arm with every hop on the wire format)
-//! must all build the same tree the sequential oracle predicts, and
-//! discovery must agree with it on every query kind.
+//! Cross-crate integration: the synchronous pump, the codec arm (every
+//! hop on the wire format) and the latency arm (the same runtime with
+//! sampled delays) must all build the same tree the sequential oracle
+//! predicts, and discovery must agree with it on every query kind.
 
 mod support;
 
@@ -30,7 +30,7 @@ fn synchronous_runtime_matches_oracle_on_real_corpus() {
 }
 
 #[test]
-fn all_three_runtimes_converge_to_the_same_tree() {
+fn sync_codec_and_latency_arms_converge_to_the_same_tree() {
     let keys = sample_corpus(80);
 
     let mut sys = DlptSystem::builder().seed(5).bootstrap_peers(8).build();

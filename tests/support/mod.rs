@@ -42,14 +42,10 @@ pub struct Framed {
 }
 
 impl Framed {
-    /// An empty overlay. Responses may be judged only once the queue
-    /// drains, as in the other asynchronous runtimes.
+    /// An empty overlay.
     pub fn new(seed: u64) -> Self {
         Framed {
-            engine: Engine::new(EngineConfig {
-                judge_at_quiescence: true,
-                ..EngineConfig::default()
-            }),
+            engine: Engine::new(EngineConfig::default()),
             frames: FrameQueue::default(),
             rng: StdRng::seed_from_u64(seed),
         }
@@ -71,9 +67,13 @@ impl Framed {
         self.send(env);
     }
 
-    /// Encodes `env` onto the queue and drains.
+    /// Encodes `env` onto the queue and drains, then flushes replica
+    /// maintenance as every runtime does after an operation (a no-op
+    /// unless it mutated something at `k > 1`).
     pub fn send(&mut self, env: Envelope) {
         self.frames.deliver(env);
+        self.drain();
+        self.engine.flush_replication(&mut self.frames);
         self.drain();
     }
 

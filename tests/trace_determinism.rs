@@ -8,6 +8,7 @@
 use dlpt::core::messages::QueryKind;
 use dlpt::core::obs::{write_chrome_trace, write_jsonl};
 use dlpt::core::{Alphabet, DlptSystem, Key, TraceEvent};
+use std::collections::HashMap;
 
 const KEYS: [&str; 10] = [
     "DGEMM", "DGEMV", "DTRSM", "SGEMM", "SGEMV", "S3L_fft", "S3L_sort", "PSGESV", "PDGEMM", "CAXPY",
@@ -87,4 +88,51 @@ fn take_trace_drains_the_ring() {
         second.iter().all(|e| e.seq > max_first),
         "post-drain events must continue the sequence, not restart it"
     );
+}
+
+/// Every producer's `seq` climbs within its `(round, worker)` group in
+/// the drained stream — what `scripts/trace_summary.py --validate`
+/// checks. The engine's own events (sequential requests, the pump's
+/// prologue and fold) must not share a group with pump worker 0.
+#[test]
+fn seq_is_monotonic_per_round_and_worker_after_a_parallel_batch() {
+    let mut sys = DlptSystem::builder()
+        .alphabet(Alphabet::grid())
+        .seed(42)
+        .peer_id_len(12)
+        .bootstrap_peers(8)
+        .build();
+    for k in &KEYS {
+        sys.insert_data(*k).unwrap();
+    }
+    sys.set_tracing(1 << 12);
+    sys.lookup(&Key::from("DGEMM"));
+    sys.request(QueryKind::Complete(Key::from("S3L"))).unwrap();
+    let queries: Vec<QueryKind> = KEYS
+        .iter()
+        .cycle()
+        .take(4 * KEYS.len())
+        .map(|k| QueryKind::Exact(Key::from(*k)))
+        .collect();
+    sys.discover_batch(queries, 4).expect("parallel batch");
+    let events = sys.take_trace();
+    assert!(
+        events
+            .iter()
+            .any(|e| e.round == 0 && e.worker == 0 && e.seq == 0),
+        "worker 0 must trace in round 0, where the engine's events also sit"
+    );
+    let mut last: HashMap<(u32, u16), u32> = HashMap::new();
+    for ev in &events {
+        if let Some(&prev) = last.get(&(ev.round, ev.worker)) {
+            assert!(
+                ev.seq > prev,
+                "seq went backwards within (round {}, worker {}): {prev} then {}",
+                ev.round,
+                ev.worker,
+                ev.seq
+            );
+        }
+        last.insert((ev.round, ev.worker), ev.seq);
+    }
 }
